@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .naimark import ExtensionMatrix
+from .numerics import COMPARISON_TOL, is_unitary, rotate_rows
 from .povm import validate_outcome_count
 
 # Entries at or below this magnitude count as already eliminated and
@@ -73,38 +74,36 @@ class Netlist:
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
+# W(1,2,pi/4) then S(2,pi/2): makes the top two rows of Z real.
+BOOTSTRAP = (GivensRotation(1, 2, float(np.pi / 4)), PhaseShift(2, float(np.pi / 2)))
+
+
+def _apply_element(a: np.ndarray, e: NetlistElement) -> None:
+    """Left-multiply ``a`` by one netlist element, in place on its rows."""
+    if isinstance(e, GivensRotation) and e.v <= len(a):
+        rotate_rows(a, e.u - 1, e.v - 1, e.omega)
+    elif isinstance(e, PhaseShift) and e.u <= len(a):
+        a[e.u - 1] *= np.exp(-1j * e.phi)
+    else:
+        raise ValueError(f"element {e!r} out of range for M={len(a)}")
+
+
 def givens_matrix(m: int, g: GivensRotation) -> np.ndarray:
     """Embed a plane rotation into an M x M identity.
 
     Rows and columns u, v carry [[cos w, sin w], [-sin w, cos w]]; the
     result is real orthogonal with determinant +1.
     """
-    if g.v > m:
-        raise ValueError(f"rotation {g} out of range for M={m}")
     a = np.eye(m, dtype=complex)
-    c, s = np.cos(g.omega), np.sin(g.omega)
-    a[g.u - 1, g.u - 1] = c
-    a[g.u - 1, g.v - 1] = s
-    a[g.v - 1, g.u - 1] = -s
-    a[g.v - 1, g.v - 1] = c
+    _apply_element(a, g)
     return a
 
 
 def phase_matrix(m: int, s: PhaseShift) -> np.ndarray:
     """Embed a single-mode phase shift into an M x M identity."""
-    if s.u > m:
-        raise ValueError(f"phase shift {s} out of range for M={m}")
     a = np.eye(m, dtype=complex)
-    a[s.u - 1, s.u - 1] = np.exp(-1j * s.phi)
+    _apply_element(a, s)
     return a
-
-
-def element_matrix(m: int, e: NetlistElement) -> np.ndarray:
-    if isinstance(e, GivensRotation):
-        return givens_matrix(m, e)
-    if isinstance(e, PhaseShift):
-        return phase_matrix(m, e)
-    raise TypeError(f"not a netlist element: {e!r}")
 
 
 def triplet_angle(m: int, k: int) -> float:
@@ -121,10 +120,7 @@ def decompose_closed(m: int) -> Netlist:
     Total element count: 2 + 3(M/2 - 1).
     """
     m = validate_outcome_count(m)
-    elements: list[NetlistElement] = [
-        GivensRotation(1, 2, float(np.pi / 4)),
-        PhaseShift(2, float(np.pi / 2)),
-    ]
+    elements: list[NetlistElement] = list(BOOTSTRAP)
     for k in range(m // 2 - 1):
         theta = triplet_angle(m, k)
         elements.append(GivensRotation(2 * k + 1, 2 * k + 3, theta))
@@ -137,7 +133,7 @@ def evaluate_netlist(n: Netlist) -> np.ndarray:
     """Total transfer matrix of a netlist (last element leftmost)."""
     a = np.eye(n.M, dtype=complex)
     for e in n.elements:
-        a = element_matrix(n.M, e) @ a
+        _apply_element(a, e)
     return a
 
 
@@ -170,23 +166,15 @@ def decompose_by_elimination(
     m = z.shape[0]
     if m < 2 or m % 2 != 0:
         raise ValueError(f"mode count must be even and >= 2, got {m}")
-    eye = np.eye(m)
-    if max(
-        np.max(np.abs(z.conj().T @ z - eye)), np.max(np.abs(z @ z.conj().T - eye))
-    ) > 1e-10:
-        raise ValueError("input matrix is not unitary within 1e-10")
+    if not is_unitary(z):
+        raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
 
     a = z.copy()
     elements: list[NetlistElement] = []
-
-    def apply(e: NetlistElement):
-        nonlocal a
-        a = element_matrix(m, e) @ a
-        elements.append(e)
-
     if np.max(np.abs(a[:2, :].imag)) > pivot_tol:
-        apply(GivensRotation(1, 2, float(np.pi / 4)))
-        apply(PhaseShift(2, float(np.pi / 2)))
+        elements += BOOTSTRAP
+        for e in BOOTSTRAP:
+            _apply_element(a, e)
 
     for k in range(m // 2 - 1):
         schedule = (
@@ -199,10 +187,12 @@ def decompose_by_elimination(
             if abs(lower) <= pivot_tol:
                 continue
             omega = float(np.arctan2(lower.real, a[u - 1, col - 1].real))
-            apply(GivensRotation(u, v, omega))
+            g = GivensRotation(u, v, omega)
+            _apply_element(a, g)
+            elements.append(g)
 
-    residual = float(np.max(np.abs(a - eye)))
-    if residual > residual_tol:
+    residual = float(np.max(np.abs(a - np.eye(m))))
+    if not residual <= residual_tol:
         raise RuntimeError(
             f"elimination did not reach the identity, residual {residual:.3e}"
         )

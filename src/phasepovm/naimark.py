@@ -228,18 +228,20 @@ def verify_naimark(
     off = gram - np.diag(np.diag(gram))
     max_ortho = float(np.max(np.abs(off)))
     max_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
+    # np.maximum / np.max keep a NaN residual; Python's max would drop it
     unitarity = float(
-        max(np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye)))
+        np.maximum(np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye)))
     )
 
-    max_block = 0.0
+    block_residuals = []
     for k in range(m):
         col = ext.column_for_outcome(k)
         block = np.outer(col[:2], col[:2].conj())
-        max_block = max(max_block, float(np.max(np.abs(block - povm_element(m, k)))))
+        block_residuals.append(np.max(np.abs(block - povm_element(m, k))))
+    max_block = float(np.max(block_residuals))
 
     rng = np.random.default_rng(seed)
-    max_prob = 0.0
+    prob_residuals = []
     cols = np.array(ext.column_order)
     for _ in range(num_states):
         rho = random_density(rng)
@@ -252,14 +254,14 @@ def verify_naimark(
         direct = np.array(
             [np.trace(povm_element(m, k) @ rho).real for k in range(m)]
         )
-        max_prob = max(max_prob, float(np.max(np.abs(direct - extended))))
+        prob_residuals.append(np.max(np.abs(direct - extended)))
 
     return NaimarkReport(
         max_orthogonality_residual=max_ortho,
         max_norm_residual=max_norm,
         max_povm_block_residual=max_block,
         unitarity_residual=unitarity,
-        max_probability_residual=max_prob,
+        max_probability_residual=float(np.max(prob_residuals, initial=0.0)),
     )
 
 

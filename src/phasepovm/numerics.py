@@ -68,6 +68,18 @@ def is_unitary(a, tol: float = COMPARISON_TOL) -> bool:
     return bool(max(left, right) <= tol)
 
 
+def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:
+    """Apply [[cos, sin], [-sin, cos]] of ``angle`` to rows i, j in place.
+
+    The one plane-rotation kernel (netlist evaluation, elimination, optical
+    elements); O(row length) instead of an M x M product.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    ri, rj = arr[i].copy(), arr[j].copy()
+    arr[i] = c * ri + s * rj
+    arr[j] = -s * ri + c * rj
+
+
 def partial_trace_ancilla(p) -> np.ndarray:
     """Reduce an operator on the ancilla+qubit space to a qubit operator.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .compiler import Netlist, evaluate_netlist, triplet_angle
 from .naimark import column_order
-from .numerics import eig_hermitian_2x2
+from .numerics import eig_hermitian_2x2, rotate_rows
 from .povm import OutcomeDistribution, validate_density, validate_outcome_count
 
 NORM_TOL = 1e-12
@@ -149,19 +149,12 @@ def input_state(phi: float, paths: int) -> ModeAmplitudes:
     return ModeAmplitudes(a)
 
 
-def _rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:
-    c, s = np.cos(angle), np.sin(angle)
-    ri, rj = arr[i].copy(), arr[j].copy()
-    arr[i] = c * ri + s * rj
-    arr[j] = -s * ri + c * rj
-
-
 def _apply_to_rows(arr: np.ndarray, e: OpticalElement, paths: int) -> None:
     """Apply one element in place to an array of amplitude rows."""
     if isinstance(e, PolarizationRotation):
         if e.path > paths:
             raise ValueError(f"path {e.path} out of range ({paths} paths)")
-        _rotate_rows(arr, mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle)
+        rotate_rows(arr, mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle)
     elif isinstance(e, WaveplatePhase):
         if e.path > paths:
             raise ValueError(f"path {e.path} out of range ({paths} paths)")
@@ -171,8 +164,8 @@ def _apply_to_rows(arr: np.ndarray, e: OpticalElement, paths: int) -> None:
             raise ValueError(
                 f"paths ({e.path_a}, {e.path_b}) out of range ({paths} paths)"
             )
-        _rotate_rows(arr, mode_index(e.path_a, "H"), mode_index(e.path_b, "H"), e.angle_h)
-        _rotate_rows(arr, mode_index(e.path_a, "V"), mode_index(e.path_b, "V"), e.angle_v)
+        rotate_rows(arr, mode_index(e.path_a, "H"), mode_index(e.path_b, "H"), e.angle_h)
+        rotate_rows(arr, mode_index(e.path_a, "V"), mode_index(e.path_b, "V"), e.angle_v)
     elif isinstance(e, PBS):
         _apply_to_rows(arr, PPBS(e.path_a, e.path_b, 0.0, np.pi / 2), paths)
     elif isinstance(e, Detector):

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import phasepovm.cli as cli
 from phasepovm.cli import main
 from phasepovm.naimark import build_extension_closed
+from phasepovm.povm import OutcomeDistribution
 
 
 def run(*args):
@@ -41,8 +43,11 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_negative_tolerance_is_a_usage_error(capsys):
-    assert run("verify", "--M", "4", "--tolerance", "-1") == 1
-    assert "tolerance" in capsys.readouterr().err
+    for bad in ("-1", "inf", "nan"):
+        assert run("verify", "--M", "4", "--tolerance", bad) == 1
+        assert "tolerance" in capsys.readouterr().err
+    assert run("povm", "--M", "4", "--phi", "nan") == 1
+    assert "phi" in capsys.readouterr().err
 
 
 def test_extend_writes_both_matrices(tmp_path, capsys):
@@ -209,6 +214,24 @@ def test_verify_pass_and_metadata(capsys):
 def test_verify_impossible_tolerance_exits_2(capsys):
     assert run("verify", "--M", "4", "--tolerance", "1e-30") == 2
     capsys.readouterr()
+
+
+def test_verify_fails_on_a_nan_simulator_residual(monkeypatch, capsys):
+    real = cli.simulate_direct
+    calls = []
+
+    def nan_on_second_state(scheme, rho):
+        calls.append(rho)
+        dist = real(scheme, rho)
+        if len(calls) == 2:
+            return OutcomeDistribution(M=dist.M, probabilities=np.full(dist.M, np.nan))
+        return dist
+
+    monkeypatch.setattr(cli, "simulate_direct", nan_on_second_state)
+    assert run("verify", "--M", "8") == 2
+    err = capsys.readouterr().err
+    assert "direct_vs_analytic: nan [FAIL]" in err
+    assert "verification: FAIL" in err
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasepovm.compiler import (
     GivensRotation,
@@ -153,6 +155,16 @@ def test_elimination_rejects_non_unitary_input():
         decompose_by_elimination(np.ones((3, 5)))
 
 
+def test_elimination_rejects_non_finite_input():
+    z = np.eye(4, dtype=complex)
+    z[2, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="unitary"):
+            decompose_by_elimination(np.full((4, 4), np.nan, dtype=complex))
+        with pytest.raises(ValueError, match="unitary"):
+            decompose_by_elimination(z)
+
+
 def test_elimination_of_random_interleaved_unitaries_only_contract_cases():
     # the elimination schedule targets this family's sparsity pattern;
     # every power-of-two extension is in contract
@@ -207,3 +219,50 @@ def test_evaluate_netlist_multiplies_in_application_order():
         [[0.0, 1.0], [-1.0, 0.0]]
     )
     np.testing.assert_allclose(u, expected, atol=1e-15)
+
+
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+@st.composite
+def _netlists(draw):
+    m = draw(st.integers(2, 32))
+    rotation = st.tuples(st.integers(1, m - 1), st.integers(1, m - 1), _ANGLE).map(
+        lambda t: GivensRotation(t[0], t[0] + (t[1] % (m - t[0])) + 1, t[2])
+    )
+    phase = st.builds(PhaseShift, st.integers(1, m), _ANGLE)
+    elements = draw(st.lists(st.one_of(rotation, phase), max_size=40))
+    return Netlist(M=m, elements=tuple(elements))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_netlists())
+def test_evaluate_netlist_equals_product_of_dense_embeddings(net):
+    # dense embeddings written out here, independent of the row kernel
+    expected = np.eye(net.M, dtype=complex)
+    for e in net.elements:
+        d = np.eye(net.M, dtype=complex)
+        if isinstance(e, GivensRotation):
+            i, j = e.u - 1, e.v - 1
+            c, s = np.cos(e.omega), np.sin(e.omega)
+            d[i, i], d[i, j], d[j, i], d[j, j] = c, s, -s, c
+        else:
+            d[e.u - 1, e.u - 1] = np.exp(-1j * e.phi)
+        expected = d @ expected
+    np.testing.assert_allclose(evaluate_netlist(net), expected, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def extension_1024():
+    return build_extension_closed(1024)
+
+
+def test_closed_netlist_round_trip_at_m1024(extension_1024):
+    residual = evaluate_netlist(decompose_closed(1024)) @ extension_1024.Z - np.eye(1024)
+    assert np.max(np.abs(residual)) <= 1e-9
+
+
+def test_elimination_round_trip_at_m1024(extension_1024):
+    elim = decompose_by_elimination(extension_1024)
+    residual = evaluate_netlist(elim) @ extension_1024.Z - np.eye(1024)
+    assert np.max(np.abs(residual)) <= 1e-9

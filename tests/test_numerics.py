@@ -9,6 +9,7 @@ from phasepovm.numerics import (
     is_unitary,
     matmul,
     partial_trace_ancilla,
+    rotate_rows,
 )
 
 SEED = 20240811
@@ -53,6 +54,19 @@ def test_is_unitary_rejects_scaled_and_singular():
     assert not is_unitary(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="square"):
         is_unitary(np.ones((2, 3)))
+
+
+def test_rotate_rows_applies_the_plane_rotation_convention():
+    rng = np.random.default_rng(SEED)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    c, s = np.cos(0.3), np.sin(0.3)
+    expected = a.copy()
+    expected[[1, 3]] = np.array([[c, s], [-s, c]]) @ a[[1, 3]]
+    rotate_rows(a, 1, 3, 0.3)
+    np.testing.assert_allclose(a, expected, rtol=0, atol=1e-15)
+    v = np.array([1.0, 2.0j])
+    rotate_rows(v, 0, 1, np.pi / 2)
+    np.testing.assert_allclose(v, [2.0j, -1.0], atol=1e-15)
 
 
 def test_partial_trace_ancilla_extracts_first_qubit_block():
