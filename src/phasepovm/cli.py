@@ -53,10 +53,9 @@ from .optics import (
     slot_distribution_to_json_dict,
 )
 from .povm import (
-    OutcomeDistribution,
     analytic_phase_distribution,
     guessing_probability,
-    outcome_probability,
+    outcome_distribution,
     phase_povm,
     pure_phase_state,
     random_density,
@@ -66,6 +65,9 @@ from .povm import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
+
+# Largest accepted --M: Z alone is M x M complex128, 256 MiB at 4096
+MAX_OUTCOMES = 4096
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
+        if self.M > MAX_OUTCOMES:
+            raise ValueError(f"M must be at most {MAX_OUTCOMES}, got {self.M}")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.phi is not None and not np.isfinite(self.phi):
@@ -347,15 +351,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _analytic_distribution_for(m: int, rho: np.ndarray) -> OutcomeDistribution:
-    povm = phase_povm(m)
-    p = np.array([outcome_probability(povm, k, rho) for k in range(m)])
-    return OutcomeDistribution(M=m, probabilities=p)
-
-
 def cmd_compare(cfg: RunConfig) -> int:
     rho = load_density(cfg)
-    analytic = _analytic_distribution_for(cfg.M, rho)
+    analytic = outcome_distribution(phase_povm(cfg.M), rho)
     direct = simulate_direct(build_direct_scheme(cfg.M), rho)
     residuals = {
         "direct_vs_analytic": float(
@@ -406,11 +404,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     rng = np.random.default_rng(cfg.seed)
     scheme = build_direct_scheme(cfg.M)
+    povm = phase_povm(cfg.M)
     sim_residuals = []
     folded_residuals = []
     for _ in range(20):
         rho = random_density(rng)
-        analytic = _analytic_distribution_for(cfg.M, rho)
+        analytic = outcome_distribution(povm, rho)
         direct = simulate_direct(scheme, rho)
         sim_residuals.append(np.abs(direct.probabilities - analytic.probabilities))
         if cfg.M > 2:

@@ -89,7 +89,9 @@ def povm_element(m: int, k: int) -> np.ndarray:
 def phase_povm(m: int) -> PhasePovm:
     """Build all M elements of the phase measurement."""
     m = validate_outcome_count(m)
-    elements = np.stack([povm_element(m, k) for k in range(m)])
+    a = np.pi * np.arange(m) / m
+    v = np.stack([np.exp(-1j * a), np.exp(1j * a)], axis=1) / np.sqrt(2.0)
+    elements = (2.0 / m) * (v[:, :, None] * v.conj()[:, None, :])
     return PhasePovm(M=m, elements=elements)
 
 
@@ -137,12 +139,18 @@ def random_density(rng: np.random.Generator, pure: bool | None = None) -> np.nda
     return rho / np.trace(rho).real
 
 
+def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
+    """Probabilities Tr[Pi_k rho] of every outcome k on state rho."""
+    rho = validate_density(rho)
+    # one 2x2 product per element keeps the digits; an einsum changes them
+    p = np.trace(povm.elements @ rho, axis1=1, axis2=2).real
+    return OutcomeDistribution(M=povm.M, probabilities=p)
+
+
 def outcome_probability(povm: PhasePovm, k: int, rho) -> float:
     """Probability Tr[Pi_k rho] of recording outcome k on state rho."""
     k = _check_outcome_index(povm.M, k)
-    rho = validate_density(rho)
-    p = np.trace(povm.elements[k] @ rho)
-    return float(p.real)
+    return float(outcome_distribution(povm, rho).probabilities[k])
 
 
 def analytic_phase_distribution(m: int, phi: float) -> OutcomeDistribution:
@@ -165,8 +173,9 @@ def guessing_probability(m: int) -> float:
     (1/M) * sum_k <phi_k| Pi_k |phi_k|>, which evaluates to 2/M.
     """
     m = validate_outcome_count(m)
-    povm = phase_povm(m)
-    total = 0.0
-    for k in range(m):
-        total += outcome_probability(povm, k, pure_phase_state(TWO_PI * k / m))
-    return total / m
+    u = np.exp(1j * (TWO_PI * np.arange(m) / m))
+    v = np.stack([np.ones(m), u], axis=1) / np.sqrt(2.0)
+    states = v[:, :, None] * v.conj()[:, None, :]
+    p = np.trace(phase_povm(m).elements @ states, axis1=1, axis2=2).real
+    # cumsum adds left to right; np.sum's pairwise order moves the last digit
+    return float(np.cumsum(p)[-1]) / m

@@ -40,6 +40,11 @@ def test_usage_errors_exit_1(capsys):
     assert run("no-such-command", "--M", "4") == 1
     assert run("povm", "--M", "4", "--format", "yaml") == 1
     capsys.readouterr()
+    # above the M ceiling: refused by RunConfig, before any M x M array exists
+    assert run("verify", "--M", "8192") == 1
+    assert "at most 4096" in capsys.readouterr().err
+    assert run("povm", "--M", "65536") == 1
+    assert "at most 4096" in capsys.readouterr().err
 
 
 def test_negative_tolerance_is_a_usage_error(capsys):

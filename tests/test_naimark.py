@@ -1,5 +1,7 @@
 """Tests for the extension-matrix construction (closed form and recursive)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ def _reference_z8():
     )
 
 
+def _closed_form_column_loop(m, k):
+    """Column Z_k filled one coefficient pair at a time (loop reference)."""
+    z = np.zeros(m, dtype=complex)
+    z[0] = np.exp(-1j * np.pi * k / m) / np.sqrt(m)
+    z[1] = np.exp(1j * np.pi * k / m) / np.sqrt(m)
+    kk = k if k < m // 2 else k - m // 2
+    for j in range(kk):
+        den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
+        c = 2.0 * np.cos((kk - j) * np.pi / m) / den
+        s = 2.0 * np.sin((kk - j) * np.pi / m) / den
+        if k < m // 2:
+            z[2 * j + 2] = -c
+            z[2 * j + 3] = -s
+        else:
+            z[2 * j + 2] = s
+            z[2 * j + 3] = -c
+    norm_pos = 2 * kk + 2 if k < m // 2 else 2 * kk + 3
+    if norm_pos < m:
+        z[norm_pos] = np.sqrt((m - 2 * kk - 2) / (m - 2 * kk))
+    return z
+
+
 def test_column_order_interleaves_low_and_high_outcomes():
     assert column_order(8) == (0, 4, 1, 5, 2, 6, 3, 7)
     assert column_order(2) == (0, 1)
@@ -70,6 +94,16 @@ def test_column_order_interleaves_low_and_high_outcomes():
 def test_closed_form_matches_reference_matrix_entrywise():
     z = build_extension_closed(8).Z
     np.testing.assert_allclose(z, _reference_z8(), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64, 256])
+def test_closed_form_matches_the_per_column_loop_exactly(m):
+    expected = np.stack(
+        [_closed_form_column_loop(m, k) for k in column_order(m)], axis=1
+    )
+    assert np.array_equal(build_extension_closed(m).Z, expected)
+    for k in (0, m // 2 - 1, m // 2, m - 1):
+        assert np.array_equal(closed_form_column(m, k), _closed_form_column_loop(m, k))
 
 
 def test_closed_form_column_anchor_entries():
@@ -89,7 +123,7 @@ def test_top_rows_are_the_povm_directions():
             )
 
 
-@pytest.mark.parametrize("m", POWERS)
+@pytest.mark.parametrize("m", POWERS + [256])
 def test_recursive_equals_closed_form(m):
     closed = build_extension_closed(m)
     recursive = build_extension_recursive(m)
@@ -135,8 +169,6 @@ def test_verify_naimark_reports_tiny_residuals_for_good_extensions():
 
 
 def test_verify_naimark_flags_a_broken_matrix():
-    import dataclasses
-
     ext = build_extension_closed(8)
     z = ext.Z.copy()
     z[:, 3] *= 1.5  # break one column norm
@@ -148,8 +180,32 @@ def test_verify_naimark_flags_a_broken_matrix():
 
 def test_verify_naimark_rejects_nonpositive_tolerance():
     ext = build_extension_closed(4)
-    with pytest.raises(ValueError, match="positive"):
-        verify_naimark(ext, tol=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive"):
+            verify_naimark(ext, tol=bad)
+
+
+def test_probability_check_equals_the_dense_lifted_trace():
+    # a non-unitary Z with every row filled: the shortcut may read only
+    # rows 0 and 1, the dense trace z_j† (|e1><e1| x rho) z_j reads all
+    m, seed, num_states = 16, SEED, 20
+    rng = np.random.default_rng(SEED + 1)
+    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    assert np.all(np.abs(z[2:]) > 0)
+    ext = dataclasses.replace(build_extension_closed(m), Z=z)
+    report = verify_naimark(ext, seed=seed, num_states=num_states)
+
+    states = np.random.default_rng(seed)
+    expected = 0.0
+    for _ in range(num_states):
+        rho = random_density(states)
+        lifted = embed_with_ancilla(m, rho)
+        for j, k in enumerate(ext.column_order):
+            extended = (z[:, j].conj() @ lifted @ z[:, j]).real
+            direct = np.trace(povm_element(m, k) @ rho).real
+            expected = max(expected, abs(direct - extended))
+    assert abs(report.max_probability_residual - expected) <= 1e-12
+    assert expected > 1e-3  # the broken Z is visible to the check
 
 
 def test_verify_naimark_probability_check_depends_on_seed_only_in_states():

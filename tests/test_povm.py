@@ -7,6 +7,7 @@ from phasepovm.povm import (
     OutcomeDistribution,
     analytic_phase_distribution,
     guessing_probability,
+    outcome_distribution,
     outcome_probability,
     phase_povm,
     povm_element,
@@ -57,6 +58,36 @@ def test_completeness_sums_to_identity(m):
     povm = phase_povm(m)
     total = povm.elements.sum(axis=0)
     np.testing.assert_allclose(total, np.eye(2), atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 8, 256, 1024])
+def test_phase_povm_equals_the_per_element_loop_exactly(m):
+    expected = np.stack([povm_element(m, k) for k in range(m)])
+    assert np.array_equal(phase_povm(m).elements, expected)
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_outcome_distribution_equals_the_per_outcome_trace_exactly(m):
+    povm = phase_povm(m)
+    rng = np.random.default_rng(SEED)
+    for _ in range(10):
+        rho = random_density(rng)
+        expected = [np.trace(povm.elements[k] @ rho).real for k in range(m)]
+        dist = outcome_distribution(povm, rho)
+        assert dist.M == m
+        assert np.array_equal(dist.probabilities, expected)
+        assert outcome_probability(povm, m - 1, rho) == expected[-1]
+    with pytest.raises(ValueError, match="negative"):
+        outcome_distribution(povm, np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_guessing_probability_equals_the_running_total_exactly(m):
+    total = 0.0
+    for k in range(m):
+        rho = pure_phase_state(2.0 * np.pi * k / m)
+        total += float(np.trace(povm_element(m, k) @ rho).real)
+    assert guessing_probability(m) == total / m
 
 
 def test_outcome_index_range_checked():
