@@ -280,7 +280,7 @@ def cmd_compile(cfg: RunConfig) -> int:
             np.max(np.abs(evaluate_netlist(net) @ z - np.eye(cfg.M)))
         )
         _note(f"round-trip residual |netlist * Z - I|: {residual:.3e}")
-        if residual > cfg.tolerance:
+        if not residual <= cfg.tolerance:
             return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -301,7 +301,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             np.max(np.abs(folded_sd.flatten().probabilities - direct_dist.probabilities))
         )
         _note(f"max direct/folded discrepancy: {disc:.3e}")
-        if disc > cfg.tolerance:
+        if not disc <= cfg.tolerance:
             status = EXIT_VERIFICATION
 
     if cfg.scheme == "folded":

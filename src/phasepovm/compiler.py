@@ -208,7 +208,12 @@ def canonical_angle(a: float) -> float:
 
 
 def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
-    """Element-for-element equality with angles compared mod 2*pi."""
+    """Element-for-element equality with angles compared mod 2*pi.
+
+    A NaN angle never compares equal. ``tol`` must be finite and >= 0.
+    """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     if a.M != b.M or len(a.elements) != len(b.elements):
         return False
     for ea, eb in zip(a.elements, b.elements):
@@ -222,7 +227,7 @@ def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
             if ea.u != eb.u:
                 return False
             da = canonical_angle(ea.phi - eb.phi)
-        if abs(da) > tol:
+        if not abs(da) <= tol:
             return False
     return True
 

@@ -220,10 +220,12 @@ def verify_naimark(
     The probability check compares the qubit-level statistics
     Tr[Pi_k rho] against the extended-space statistics
     Tr[P_k (rho_A tensor rho)] on ``num_states`` random qubit states
-    drawn from a generator seeded with ``seed``.
+    drawn from a generator seeded with ``seed``; at least one is needed.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if num_states < 1:
+        raise ValueError(f"num_states must be at least 1, got {num_states}")
     m, z = ext.M, ext.Z
     eye = np.eye(m)
     gram = z.conj().T @ z
@@ -247,7 +249,7 @@ def verify_naimark(
     # so Tr[P_j lifted] = z[:2, j]† rho z[:2, j]: O(M) per state
     extended = np.einsum("ja,sab,jb->sj", top.conj(), rhos, top).real
     direct = np.einsum("jab,sba->sj", reference, rhos).real
-    max_prob = float(np.max(np.abs(direct - extended), initial=0.0))
+    max_prob = float(np.max(np.abs(direct - extended)))
 
     return NaimarkReport(
         max_orthogonality_residual=max_ortho,

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default tolerances: comparisons between computed quantities vs.
-# validation of caller-supplied inputs.
+# Default tolerance for comparisons between computed quantities.
 COMPARISON_TOL = 1e-10
-VALIDATION_TOL = 1e-12
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -106,27 +104,3 @@ def partial_trace_ancilla(p) -> np.ndarray:
     if n % 2 != 0:
         raise ValueError(f"dimension must be even to split off a qubit, got {n}")
     return p[:2, :2].copy()
-
-
-def eig_hermitian_2x2(h, tol: float = VALIDATION_TOL):
-    """Eigendecomposition of a 2x2 Hermitian matrix.
-
-    Parameters
-    ----------
-    h : array_like
-        2x2 matrix, Hermitian within ``tol``.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        Real eigenvalues in descending order, and the matching
-        orthonormal eigenvectors as the columns of the second array.
-    """
-    h = _as_matrix(h)
-    if h.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h)
-    # eigh sorts ascending; flip to descending
-    return vals[::-1].copy(), vecs[:, ::-1].copy()

@@ -21,12 +21,13 @@ detector of block k means outcome k, on the V detector outcome k + M/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .compiler import Netlist, evaluate_netlist, triplet_angle
 from .naimark import column_order
-from .numerics import eig_hermitian_2x2, rotate_rows
+from .numerics import rotate_rows
 from .povm import OutcomeDistribution, validate_density, validate_outcome_count
 
 NORM_TOL = 1e-12
@@ -198,6 +199,23 @@ class Scheme:
     detector_map: dict[tuple[int, str], int]
     port_outcomes: tuple[int, ...]
 
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """M x 2 map V from the photon's input pair to the detectors.
+
+        Row k holds the amplitudes at the detector of outcome k for a
+        photon entering on mode 1H and on mode 1V. The elements are a
+        tuple of frozen records, so V is built once per scheme; the
+        array is read-only.
+        """
+        t = _propagate(self, np.eye(2 * self.n_paths, 2, dtype=complex))
+        rows = np.empty(self.M, dtype=int)
+        for (path, pol), k in self.detector_map.items():
+            rows[k] = mode_index(path, pol)
+        v = t[rows]
+        v.flags.writeable = False
+        return v
+
 
 def modular_block_isometry(m: int, k: int) -> np.ndarray:
     """Effective 4x2 map of block k: input pair to (detectors, pass-through).
@@ -271,34 +289,32 @@ def build_direct_scheme(m: int) -> Scheme:
     )
 
 
+def _propagate(scheme: Scheme, arr: np.ndarray) -> np.ndarray:
+    """Send amplitude rows through every element of the layout, in place."""
+    for e in scheme.elements:
+        _apply_to_rows(arr, e, scheme.n_paths)
+    return arr
+
+
 def scheme_transfer_matrix(scheme: Scheme) -> np.ndarray:
     """Full unitary of the layout over all 2*n_paths modes."""
-    t = np.eye(2 * scheme.n_paths, dtype=complex)
-    for e in scheme.elements:
-        _apply_to_rows(t, e, scheme.n_paths)
-    return t
+    return _propagate(scheme, np.eye(2 * scheme.n_paths, dtype=complex))
+
+
+def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
+    """Click probabilities P_k = (V rho V†)_kk of an M x 2 isometry V.
+
+    The photon enters on two modes, so every layout acts on the qubit
+    state through V alone; a mixed state needs no diagonalization.
+    """
+    rho = validate_density(rho)
+    p = np.einsum("ka,ab,kb->k", v, rho, v.conj()).real
+    return OutcomeDistribution(M=len(v), probabilities=p)
 
 
 def simulate_direct(scheme: Scheme, rho) -> OutcomeDistribution:
-    """Detector-click statistics of the direct scheme on a qubit state.
-
-    Pure states propagate as amplitude vectors; a mixed state is
-    diagonalized and its eigenvectors propagated separately, the click
-    probabilities combining linearly with the eigenvalues as weights.
-    """
-    rho = validate_density(rho)
-    vals, vecs = eig_hermitian_2x2(rho)
-    p = np.zeros(scheme.M)
-    for val, vec in zip(vals, vecs.T):
-        if val < 1e-15:
-            continue
-        arr = np.zeros(2 * scheme.n_paths, dtype=complex)
-        arr[0:2] = vec
-        for e in scheme.elements:
-            _apply_to_rows(arr, e, scheme.n_paths)
-        for (path, pol), k in scheme.detector_map.items():
-            p[k] += val * float(np.abs(arr[mode_index(path, pol)]) ** 2)
-    return OutcomeDistribution(M=scheme.M, probabilities=p)
+    """Detector-click statistics of the direct scheme on a qubit state."""
+    return _click_statistics(scheme.isometry, rho)
 
 
 def simulate_netlist(netlist: Netlist, rho) -> OutcomeDistribution:
@@ -307,21 +323,9 @@ def simulate_netlist(netlist: Netlist, rho) -> OutcomeDistribution:
     Output port j carries the outcome given by the interleaved column
     order, the same assignment the direct scheme realizes physically.
     """
-    rho = validate_density(rho)
-    m = netlist.M
-    order = column_order(m)
-    transfer = evaluate_netlist(netlist)
-    vals, vecs = eig_hermitian_2x2(rho)
-    p = np.zeros(m)
-    for val, vec in zip(vals, vecs.T):
-        if val < 1e-15:
-            continue
-        amps = np.zeros(m, dtype=complex)
-        amps[0:2] = vec
-        out = transfer @ amps
-        for j in range(m):
-            p[order[j]] += val * float(np.abs(out[j]) ** 2)
-    return OutcomeDistribution(M=m, probabilities=p)
+    v = np.empty((netlist.M, 2), dtype=complex)
+    v[list(column_order(netlist.M))] = evaluate_netlist(netlist)[:, :2]
+    return _click_statistics(v, rho)
 
 
 @dataclass(frozen=True)
@@ -379,46 +383,37 @@ class SlotDistribution:
         return self.M // 2
 
     def flatten(self) -> OutcomeDistribution:
-        out = np.zeros(self.M)
-        for k in range(self.M // 2):
-            out[k] = self.probabilities[k, 0]
-            out[k + self.M // 2] = self.probabilities[k, 1]
-        return OutcomeDistribution(M=self.M, probabilities=out)
+        return OutcomeDistribution(M=self.M, probabilities=self.probabilities.T.ravel())
 
 
 def simulate_folded(m: int, rho) -> SlotDistribution:
     """Time-slot-unrolled simulation of the loop scheme.
 
-    Each round trip applies the slot's beam splitter, records the
-    exiting pair on the detectors, and keeps the reflected pair in the
-    loop through the polarization rotation. The final slot exits
-    everything (see build_folded_schedule), leaving zero residual norm
-    in the loop.
+    hv holds the loop amplitudes (rows H, V) for a photon entering on
+    each of the two input modes (columns). Each round trip applies the
+    slot's beam splitter, records the exiting pair on the detectors, and
+    keeps the reflected pair in the loop through the polarization
+    rotation. The final slot exits everything (see build_folded_schedule),
+    leaving zero residual norm in the loop. This builds V independently
+    of the direct scheme's element list, so the two cross-check.
     """
     m = validate_outcome_count(m)
     schedule = build_folded_schedule(m)
-    rho = validate_density(rho)
-    vals, vecs = eig_hermitian_2x2(rho)
-    pairs = np.zeros((m // 2, 2))
-    for val, vec in zip(vals, vecs.T):
-        if val < 1e-15:
-            continue
-        # initial block: polarization rotation pi/4 then waveplate pi/2
-        h = (vec[0] + vec[1]) / np.sqrt(2.0)
-        v = (-vec[0] + vec[1]) / np.sqrt(2.0) * np.exp(-1j * np.pi / 2)
-        for setting in schedule:
-            c, s = np.cos(setting.bs_angle), np.sin(setting.bs_angle)
-            k = setting.slot - 1
-            pairs[k, 0] += val * float(np.abs(c * h) ** 2)
-            pairs[k, 1] += val * float(np.abs(c * v) ** 2)
-            # reflected pair stays in the loop and gets rotated
-            h, v = -s * h, -s * v
-            cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
-            h, v = cr * h + sr * v, -sr * h + cr * v
-        c = np.cos(EXIT_SLOT_BS_ANGLE)
-        pairs[m // 2 - 1, 0] += val * float(np.abs(c * h) ** 2)
-        pairs[m // 2 - 1, 1] += val * float(np.abs(c * v) ** 2)
-    return SlotDistribution(M=m, probabilities=pairs)
+    # initial block: polarization rotation pi/4 then waveplate pi/2
+    hv = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+    hv[1] *= np.exp(-1j * np.pi / 2)
+    # clicks[k] is the exiting pair of slot k+1: outcomes k (H) and k + M/2 (V)
+    clicks = np.empty((m // 2, 2, 2), dtype=complex)
+    for setting in schedule:
+        c, s = np.cos(setting.bs_angle), np.sin(setting.bs_angle)
+        clicks[setting.slot - 1] = c * hv
+        # reflected pair stays in the loop and gets rotated
+        cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
+        hv = np.array([[cr, sr], [-sr, cr]]) @ (-s * hv)
+    clicks[m // 2 - 1] = np.cos(EXIT_SLOT_BS_ANGLE) * hv
+    v = clicks.transpose(1, 0, 2).reshape(m, 2)
+    p = _click_statistics(v, rho).probabilities
+    return SlotDistribution(M=m, probabilities=p.reshape(2, m // 2).T)
 
 
 def distribution_to_json_dict(dist: OutcomeDistribution) -> dict:

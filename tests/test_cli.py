@@ -8,6 +8,7 @@ import pytest
 import phasepovm.cli as cli
 from phasepovm.cli import main
 from phasepovm.naimark import build_extension_closed
+from phasepovm.optics import SlotDistribution
 from phasepovm.povm import OutcomeDistribution
 
 
@@ -237,6 +238,24 @@ def test_verify_fails_on_a_nan_simulator_residual(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "direct_vs_analytic: nan [FAIL]" in err
     assert "verification: FAIL" in err
+
+
+def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
+    def nan_folded(m, rho):
+        return SlotDistribution(M=m, probabilities=np.full((m // 2, 2), np.nan))
+
+    monkeypatch.setattr(cli, "simulate_folded", nan_folded)
+    assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "both") == 2
+    assert "max direct/folded discrepancy: nan" in capsys.readouterr().err
+
+
+def test_compile_verify_fails_on_a_nan_round_trip(monkeypatch, capsys):
+    def nan_evaluate(net):
+        return np.full((net.M, net.M), np.nan)
+
+    monkeypatch.setattr(cli, "evaluate_netlist", nan_evaluate)
+    assert run("compile", "--M", "8", "--verify") == 2
+    assert "round-trip residual |netlist * Z - I|: nan" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -194,6 +194,22 @@ def test_netlists_equal_tolerates_two_pi_and_flags_real_differences():
     d = Netlist(M=2, elements=(PhaseShift(1, np.pi),))
     assert not netlists_equal(a, d)
     assert not netlists_equal(a, Netlist(M=2, elements=()))
+    # abs(nan) > tol is False, so a NaN angle must be caught explicitly
+    net = decompose_closed(8)
+    nan_net = Netlist(
+        M=8,
+        elements=tuple(
+            GivensRotation(e.u, e.v, float("nan"))
+            if isinstance(e, GivensRotation)
+            else PhaseShift(e.u, float("nan"))
+            for e in net.elements
+        ),
+    )
+    assert not netlists_equal(net, nan_net)
+    assert not netlists_equal(nan_net, nan_net)
+    for bad in (float("nan"), float("inf"), -1e-12):
+        with pytest.raises(ValueError, match="tolerance"):
+            netlists_equal(net, net, tol=bad)
 
 
 def test_netlist_json_schema_round_trip():

@@ -185,6 +185,15 @@ def test_verify_naimark_rejects_nonpositive_tolerance():
             verify_naimark(ext, tol=bad)
 
 
+def test_verify_naimark_needs_at_least_one_state():
+    # with no state the probability check would pass without checking
+    ext = build_extension_closed(4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="num_states"):
+            verify_naimark(ext, num_states=bad)
+    assert verify_naimark(ext, num_states=1).within_tolerance(1e-10)
+
+
 def test_probability_check_equals_the_dense_lifted_trace():
     # a non-unitary Z with every row filled: the shortcut may read only
     # rows 0 and 1, the dense trace z_j† (|e1><e1| x rho) z_j reads all

@@ -5,7 +5,6 @@ import pytest
 
 from phasepovm.numerics import (
     adjoint,
-    eig_hermitian_2x2,
     is_unitary,
     matmul,
     partial_trace_ancilla,
@@ -84,22 +83,3 @@ def test_partial_trace_ancilla_rejects_bad_shapes():
         partial_trace_ancilla(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         partial_trace_ancilla(np.zeros((4, 6)))
-
-
-def test_eig_hermitian_2x2_descending_and_orthonormal():
-    rng = np.random.default_rng(SEED)
-    for _ in range(200):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = g + g.conj().T
-        vals, vecs = eig_hermitian_2x2(h)
-        assert vals[0] >= vals[1]
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-12)
-        recon = vecs @ np.diag(vals) @ vecs.conj().T
-        np.testing.assert_allclose(recon, h, atol=1e-12)
-
-
-def test_eig_hermitian_2x2_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eig_hermitian_2x2(np.eye(3))

@@ -8,6 +8,7 @@ from phasepovm.naimark import build_extension_closed
 from phasepovm.numerics import adjoint, is_unitary
 from phasepovm.optics import (
     Detector,
+    EXIT_SLOT_BS_ANGLE,
     ModeAmplitudes,
     PBS,
     PPBS,
@@ -38,6 +39,51 @@ from phasepovm.povm import (
 )
 
 SEED = 20240811
+
+
+def _eigen_pairs(rho):
+    """Eigenvalues and eigenvectors of rho, skipping numerically empty ones."""
+    vals, vecs = np.linalg.eigh(rho)
+    pairs = zip(vals[::-1], vecs[:, ::-1].T)
+    return [(val, vec) for val, vec in pairs if val >= 1e-15]
+
+
+def _reference_direct(scheme, rho):
+    """Propagate each eigenvector of rho through every element separately."""
+    p = np.zeros(scheme.M)
+    for val, vec in _eigen_pairs(rho):
+        arr = np.zeros(2 * scheme.n_paths, dtype=complex)
+        arr[0:2] = vec
+        for e in scheme.elements:
+            arr = apply_element(ModeAmplitudes(arr), e).amplitudes
+        for (path, pol), k in scheme.detector_map.items():
+            p[k] += val * float(np.abs(arr[mode_index(path, pol)]) ** 2)
+    return p
+
+
+def _reference_folded(m, rho):
+    """Scalar slot-by-slot loop of the folded scheme, one eigenvector at a time."""
+    pairs = np.zeros((m // 2, 2))
+    for val, vec in _eigen_pairs(rho):
+        h = (vec[0] + vec[1]) / np.sqrt(2.0)
+        v = (-vec[0] + vec[1]) / np.sqrt(2.0) * np.exp(-1j * np.pi / 2)
+        for setting in build_folded_schedule(m):
+            c, s = np.cos(setting.bs_angle), np.sin(setting.bs_angle)
+            k = setting.slot - 1
+            pairs[k, 0] += val * float(np.abs(c * h) ** 2)
+            pairs[k, 1] += val * float(np.abs(c * v) ** 2)
+            h, v = -s * h, -s * v
+            cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
+            h, v = cr * h + sr * v, -sr * h + cr * v
+        c = np.cos(EXIT_SLOT_BS_ANGLE)
+        pairs[m // 2 - 1, 0] += val * float(np.abs(c * h) ** 2)
+        pairs[m // 2 - 1, 1] += val * float(np.abs(c * v) ** 2)
+    return pairs
+
+
+def _seeded_states(seed, count=6):
+    rng = np.random.default_rng(seed)
+    return [random_density(rng, pure=i % 2 == 0) for i in range(count)]
 
 
 def test_mode_index_convention():
@@ -226,6 +272,43 @@ def test_scheme_transfer_matches_netlist_on_photon_columns(m):
         np.testing.assert_allclose(
             t[mode_index(path, pol), 0:2], n[j, 0:2], atol=1e-10
         )
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_simulate_direct_matches_the_eigenvector_reference(m):
+    scheme = build_direct_scheme(m)
+    for rho in _seeded_states(SEED + m) + [np.eye(2) / 2.0]:
+        np.testing.assert_allclose(
+            simulate_direct(scheme, rho).probabilities,
+            _reference_direct(scheme, rho),
+            rtol=0,
+            atol=1e-15,
+        )
+
+
+@pytest.mark.parametrize("m", [4, 8, 256])
+def test_simulate_folded_matches_the_eigenvector_reference(m):
+    for rho in _seeded_states(SEED + m) + [np.eye(2) / 2.0]:
+        np.testing.assert_allclose(
+            simulate_folded(m, rho).probabilities,
+            _reference_folded(m, rho),
+            rtol=0,
+            atol=1e-15,
+        )
+
+
+@pytest.mark.parametrize("m", [2, 4, 64, 1024])
+def test_scheme_isometry_is_the_detector_rows_of_the_transfer_matrix(m):
+    scheme = build_direct_scheme(m)
+    v = scheme.isometry
+    t = scheme_transfer_matrix(scheme)
+    assert v.shape == (m, 2)
+    for (path, pol), k in scheme.detector_map.items():
+        np.testing.assert_array_equal(v[k], t[mode_index(path, pol), :2])
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-12)
+    assert scheme.isometry is v  # built once per scheme
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 1.0
 
 
 def test_simulate_direct_analytic_example_m4():
