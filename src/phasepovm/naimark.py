@@ -9,7 +9,8 @@ ordering). The extension columns Z_k are built two ways:
 * a recursive construction that fixes the first two entries of each
   column to X_k = sqrt(2/M) psi_k and solves the remaining entries one
   at a time from orthogonality against the columns already built,
-  finishing each column with a positive real norm-completing entry.
+  finishing each column with a positive real norm-completing entry;
+  it is computed as one Cholesky factorization of I - X†X.
 
 Columns are packed in the interleaved order
 (Z_0, Z_{M/2}, Z_1, Z_{M/2+1}, ..., Z_{M/2-1}, Z_{M-1}); the closed
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import COMPARISON_TOL, partial_trace_ancilla
+from .numerics import COMPARISON_TOL
 from .povm import povm_element, psi_k, random_density, validate_outcome_count
 
-# Residuals below this are treated as exact when deciding whether a
-# column still needs a norm-completing entry.
+# Largest entry of B†B - G[M-2:, M-2:] that still counts as a complete
+# pair of last columns in the recursive construction.
 SKIP_TOL = 1e-12
 
 
@@ -105,57 +106,43 @@ def build_extension_closed(m: int) -> ExtensionMatrix:
 
 
 def build_extension_recursive(m: int) -> ExtensionMatrix:
-    """Build the extension column by column from the constraints alone.
+    """Build the extension from the constraints alone, without the closed form.
 
-    Each column starts from X_k. Orthogonality against every previously
-    built column is then imposed in build order; while the new column is
-    shorter than the previous one the constraint is linear in exactly
-    one fresh coefficient, otherwise it must already hold. A column that
-    is still short of unit norm gets a final positive real entry.
+    The top rows are X = sqrt(2/M) psi_k in build order, and Z†Z = I asks
+    the remaining rows Y to satisfy Y†Y = G := I - X†X. Column j reaches
+    down to row j + 2 only, so the first M-2 columns of Y are upper
+    triangular with the positive real norm-completing entries on the
+    diagonal: the Cholesky factor R = L† of G[:M-2, :M-2] (Golub & Van
+    Loan, Matrix Computations, 4.2). Solving one orthogonality constraint
+    per fresh coefficient, column by column, computes exactly that factor.
+    The last two columns solve R† B = G[:M-2, M-2:] by forward
+    substitution and must complete B†B to G[M-2:, M-2:].
     """
     m = validate_outcome_count(m)
     order = column_order(m)
+    n = m - 2
+    x = np.sqrt(2.0 / m) * np.stack([psi_k(m, k) for k in order], axis=1)
+    g = x.conj().T @ -x
+    g[np.diag_indices(m)] += 1.0
+    try:
+        lower = np.linalg.cholesky(g[:n, :n])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"M={m}: I - X†X has a non-positive pivot in its first M-2 columns"
+        ) from exc
+    b = g[:n, n:].copy()
+    for i in range(n):
+        b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
+    # a NaN residual must fail, so test "not <=" rather than ">"
+    completion = float(np.max(np.abs(b.conj().T @ b - g[n:, n:])))
+    if not completion <= SKIP_TOL:
+        raise RuntimeError(
+            f"M={m}: the last two columns miss G[M-2:, M-2:] by {completion:.3e}"
+        )
     z = np.zeros((m, m), dtype=complex)
-    lengths: list[int] = []
-    for j, k in enumerate(order):
-        col = np.zeros(m, dtype=complex)
-        col[:2] = np.sqrt(2.0 / m) * psi_k(m, k)
-        t = 2
-        for i in range(j):
-            lp = lengths[i]
-            if t >= lp:
-                # All entries entering this constraint are fixed; it
-                # must already be satisfied.
-                if abs(np.vdot(z[:t, i], col[:t])) > SKIP_TOL:
-                    raise RuntimeError(
-                        f"column {j} (outcome {k}): orthogonality against "
-                        f"column {i} cannot be satisfied"
-                    )
-                continue
-            if lp != t + 1:
-                raise RuntimeError(
-                    f"column {j} (outcome {k}): constraint against column {i} "
-                    f"involves more than one unknown"
-                )
-            pivot = z[t, i]
-            if abs(pivot) <= SKIP_TOL:
-                raise RuntimeError(
-                    f"column {j} (outcome {k}): singular constraint against "
-                    f"column {i}"
-                )
-            col[t] = -np.vdot(z[:t, i], col[:t]) / np.conj(pivot)
-            t += 1
-        deficit = 1.0 - float(np.sum(np.abs(col[:t]) ** 2))
-        if abs(deficit) > SKIP_TOL:
-            if deficit < 0 or t >= m:
-                raise RuntimeError(
-                    f"column {j} (outcome {k}): norm completion failed "
-                    f"(deficit {deficit:.3e} at length {t})"
-                )
-            col[t] = np.sqrt(deficit)
-            t += 1
-        z[:, j] = col
-        lengths.append(t)
+    z[:2] = x
+    np.conjugate(lower.T, out=z[2:, :n])
+    z[2:, n:] = b
     return ExtensionMatrix(M=m, Z=z, column_order=order)
 
 

@@ -24,26 +24,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit conformability checking.
-
-    Parameters
-    ----------
-    a, b : array_like
-        Complex matrices with a.shape[1] == b.shape[0].
-
-    Returns
-    -------
-    numpy.ndarray
-        The standard matrix product ``a @ b``.
-    """
-    a = _as_matrix(a, "left operand")
-    b = _as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. An involution: adjoint(adjoint(a)) == a."""
     return _as_matrix(a).conj().T.copy()

@@ -20,8 +20,10 @@ detector of block k means outcome k, on the V detector outcome k + M/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -187,7 +189,9 @@ class Scheme:
     """A concrete interferometer layout with its detector assignment.
 
     detector_map sends (path, polarization) to the outcome label of the
-    detector sitting there, covering all M outcomes exactly once.
+    detector sitting there, covering all M outcomes exactly once. It is
+    stored as a read-only copy, so the cached isometry cannot go stale,
+    and left out of the hash because a mapping proxy has none.
     port_outcomes records the outcome carried by each logical output
     port of the compiled netlist (port j holds outcome port_outcomes[j-1]),
     which is the interleaved ordering of the extension columns.
@@ -196,8 +200,12 @@ class Scheme:
     M: int
     n_paths: int
     elements: tuple[OpticalElement, ...]
-    detector_map: dict[tuple[int, str], int]
+    detector_map: Mapping[tuple[int, str], int] = field(hash=False)
     port_outcomes: tuple[int, ...]
+
+    def __post_init__(self):
+        detectors = MappingProxyType(dict(self.detector_map))
+        object.__setattr__(self, "detector_map", detectors)
 
     @cached_property
     def isometry(self) -> np.ndarray:
@@ -386,8 +394,9 @@ class SlotDistribution:
         return OutcomeDistribution(M=self.M, probabilities=self.probabilities.T.ravel())
 
 
-def simulate_folded(m: int, rho) -> SlotDistribution:
-    """Time-slot-unrolled simulation of the loop scheme.
+@lru_cache
+def _folded_isometry(m: int) -> np.ndarray:
+    """M x 2 map V of the loop scheme, unrolled slot by slot; read-only.
 
     hv holds the loop amplitudes (rows H, V) for a photon entering on
     each of the two input modes (columns). Each round trip applies the
@@ -395,9 +404,9 @@ def simulate_folded(m: int, rho) -> SlotDistribution:
     keeps the reflected pair in the loop through the polarization
     rotation. The final slot exits everything (see build_folded_schedule),
     leaving zero residual norm in the loop. This builds V independently
-    of the direct scheme's element list, so the two cross-check.
+    of the direct scheme's element list, so the two cross-check. V
+    depends on M alone, so it is built once per M.
     """
-    m = validate_outcome_count(m)
     schedule = build_folded_schedule(m)
     # initial block: polarization rotation pi/4 then waveplate pi/2
     hv = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -412,7 +421,14 @@ def simulate_folded(m: int, rho) -> SlotDistribution:
         hv = np.array([[cr, sr], [-sr, cr]]) @ (-s * hv)
     clicks[m // 2 - 1] = np.cos(EXIT_SLOT_BS_ANGLE) * hv
     v = clicks.transpose(1, 0, 2).reshape(m, 2)
-    p = _click_statistics(v, rho).probabilities
+    v.flags.writeable = False
+    return v
+
+
+def simulate_folded(m: int, rho) -> SlotDistribution:
+    """Time-slot-unrolled simulation of the loop scheme (see _folded_isometry)."""
+    m = validate_outcome_count(m)
+    p = _click_statistics(_folded_isometry(m), rho).probabilities
     return SlotDistribution(M=m, probabilities=p.reshape(2, m // 2).T)
 
 

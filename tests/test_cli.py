@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import phasepovm.cli as cli
+import phasepovm.naimark as naimark
 from phasepovm.cli import main
 from phasepovm.naimark import build_extension_closed
 from phasepovm.optics import SlotDistribution
-from phasepovm.povm import OutcomeDistribution
+from phasepovm.povm import OutcomeDistribution, psi_k
 
 
 def run(*args):
@@ -240,6 +241,13 @@ def test_verify_fails_on_a_nan_simulator_residual(monkeypatch, capsys):
     assert "verification: FAIL" in err
 
 
+def test_verify_exits_2_when_the_recursion_cannot_complete(monkeypatch, capsys):
+    # X X† = 0.81 I: the last two columns cannot reach unit norm
+    monkeypatch.setattr(naimark, "psi_k", lambda m, k: 0.9 * psi_k(m, k))
+    assert run("verify", "--M", "8") == 2
+    assert "verification failure: M=8" in capsys.readouterr().err
+
+
 def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
     def nan_folded(m, rho):
         return SlotDistribution(M=m, probabilities=np.full((m // 2, 2), np.nan))
@@ -263,6 +271,12 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     for target in (a, b):
         assert run("verify", "--M", "8", "--seed", "3", "--out", str(target)) == 0
     assert a.read_bytes() == b.read_bytes()
+    first, second = tmp_path / "first" / "e.json", tmp_path / "second" / "e.json"
+    for target in (first, second):
+        target.parent.mkdir()
+        assert run("extend", "--M", "64", "--out", str(target)) == 0
+    for name in ("e_closed.json", "e_recursive.json"):
+        assert (first.parent / name).read_bytes() == (second.parent / name).read_bytes()
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     for target in (c, d):
         assert run(

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import phasepovm.naimark as naimark
 from phasepovm.naimark import (
+    SKIP_TOL,
     build_extension_closed,
     build_extension_recursive,
     closed_form_column,
@@ -84,6 +86,40 @@ def _closed_form_column_loop(m, k):
     return z
 
 
+def _recursive_loop(m):
+    """Z built one coefficient at a time from the constraints (loop reference).
+
+    Each column starts from X_k; orthogonality against every earlier
+    column fixes one fresh coefficient while the new column is shorter
+    than the earlier one and must already hold otherwise; a column still
+    short of unit norm gets a final positive real entry.
+    """
+    z = np.zeros((m, m), dtype=complex)
+    lengths = []
+    for j, k in enumerate(column_order(m)):
+        col = np.zeros(m, dtype=complex)
+        col[:2] = np.sqrt(2.0 / m) * psi_k(m, k)
+        t = 2
+        for i in range(j):
+            lp = lengths[i]
+            if t >= lp:
+                assert abs(np.vdot(z[:t, i], col[:t])) <= SKIP_TOL
+                continue
+            assert lp == t + 1
+            pivot = z[t, i]
+            assert abs(pivot) > SKIP_TOL
+            col[t] = -np.vdot(z[:t, i], col[:t]) / np.conj(pivot)
+            t += 1
+        deficit = 1.0 - float(np.sum(np.abs(col[:t]) ** 2))
+        if abs(deficit) > SKIP_TOL:
+            assert 0 < deficit and t < m
+            col[t] = np.sqrt(deficit)
+            t += 1
+        z[:, j] = col
+        lengths.append(t)
+    return z
+
+
 def test_column_order_interleaves_low_and_high_outcomes():
     assert column_order(8) == (0, 4, 1, 5, 2, 6, 3, 7)
     assert column_order(2) == (0, 1)
@@ -129,6 +165,35 @@ def test_recursive_equals_closed_form(m):
     recursive = build_extension_recursive(m)
     assert np.max(np.abs(closed.Z - recursive.Z)) <= 1e-10
     assert closed.column_order == recursive.column_order
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64, 256])
+def test_recursive_matches_the_column_loop(m):
+    np.testing.assert_allclose(
+        build_extension_recursive(m).Z, _recursive_loop(m), rtol=0, atol=1e-13
+    )
+
+
+def test_recursive_equals_closed_form_at_m1024():
+    closed = build_extension_closed(1024).Z
+    np.testing.assert_allclose(
+        build_extension_recursive(1024).Z, closed, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, message",
+    [(0.9, "miss"), (1.1, "miss"), (2.0, "pivot"), (float("nan"), "miss .* nan")],
+)
+def test_recursive_fails_when_the_top_rows_are_not_orthonormal(
+    monkeypatch, scale, message
+):
+    # X X† = scale² I: no unitary Z has these top rows
+    monkeypatch.setattr(naimark, "psi_k", lambda m, k: scale * psi_k(m, k))
+    with pytest.raises(RuntimeError, match=message) as info:
+        build_extension_recursive(8)
+    assert "M=8" in str(info.value)
 
 
 @pytest.mark.parametrize("m", POWERS)

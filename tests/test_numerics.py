@@ -6,7 +6,6 @@ import pytest
 from phasepovm.numerics import (
     adjoint,
     is_unitary,
-    matmul,
     partial_trace_ancilla,
     rotate_rows,
 )
@@ -18,20 +17,6 @@ def _random_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(SEED)
-    for _ in range(100):
-        n, k, m = rng.integers(1, 9, size=3)
-        a = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-        b = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-        np.testing.assert_allclose(matmul(a, b), a @ b, atol=1e-14)
-
-
-def test_matmul_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matmul(np.eye(3), np.eye(4))
 
 
 def test_adjoint_is_an_involution():

@@ -1,5 +1,7 @@
 """Tests for the mode-amplitude interferometer simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from phasepovm.optics import (
     PPBS,
     PolarizationRotation,
     WaveplatePhase,
+    _folded_isometry,
     apply_element,
     beam_splitter,
     build_direct_scheme,
@@ -311,6 +314,21 @@ def test_scheme_isometry_is_the_detector_rows_of_the_transfer_matrix(m):
         v[0, 0] = 1.0
 
 
+def test_scheme_is_hashable_and_its_detector_map_read_only():
+    scheme = build_direct_scheme(4)
+    assert hash(scheme) == hash(build_direct_scheme(4))
+    assert scheme == build_direct_scheme(4)
+    with pytest.raises(TypeError):
+        scheme.detector_map[(1, "H")] = 3
+    # the scheme keeps its own copy, so the caller's dict cannot stale V
+    detectors = dict(scheme.detector_map)
+    copy = dataclasses.replace(scheme, detector_map=detectors)
+    v = copy.isometry
+    detectors[(1, "H")], detectors[(2, "H")] = 1, 0
+    assert copy == scheme
+    np.testing.assert_array_equal(copy.isometry, v)
+
+
 def test_simulate_direct_analytic_example_m4():
     dist = simulate_direct(build_direct_scheme(4), pure_phase_state(np.pi / 2))
     np.testing.assert_allclose(dist.probabilities, [0.25, 0.5, 0.25, 0.0], atol=1e-12)
@@ -390,6 +408,16 @@ def test_folded_equals_direct_on_random_states(m):
             folded.flatten().probabilities, direct.probabilities, atol=1e-10
         )
         assert abs(folded.probabilities.sum() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("m", [4, 256])
+def test_folded_isometry_is_built_once_per_m_and_read_only(m):
+    v = _folded_isometry(m)
+    assert v.shape == (m, 2)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-12)
+    assert _folded_isometry(m) is v
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 1.0
 
 
 def test_folded_maximally_mixed_slots_are_uniform_pairs():
