@@ -137,11 +137,7 @@ def evaluate_netlist(n: Netlist) -> np.ndarray:
     return a
 
 
-def decompose_by_elimination(
-    z,
-    pivot_tol: float = PIVOT_TOL,
-    residual_tol: float = ELIMINATION_RESIDUAL_TOL,
-) -> Netlist:
+def decompose_by_elimination(z) -> Netlist:
     """Factorize a unitary by eliminating it down to the identity.
 
     Accepts an ExtensionMatrix or a plain square unitary array. If the
@@ -150,7 +146,7 @@ def decompose_by_elimination(
     below-diagonal entries are zeroed in the block schedule
     (2k+3,2k+1), (2k+4,2k+2), (2k+4,2k+3) for k = 0..M/2-2, each by a
     rotation whose angle atan2(lower, diagonal) also leaves the pivot
-    positive. Entries already below ``pivot_tol`` emit nothing. The
+    positive. Entries at or below PIVOT_TOL emit nothing. The
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
 
@@ -171,7 +167,7 @@ def decompose_by_elimination(
 
     a = z.copy()
     elements: list[NetlistElement] = []
-    if np.max(np.abs(a[:2, :].imag)) > pivot_tol:
+    if np.max(np.abs(a[:2, :].imag)) > PIVOT_TOL:
         elements += BOOTSTRAP
         for e in BOOTSTRAP:
             _apply_element(a, e)
@@ -184,7 +180,7 @@ def decompose_by_elimination(
         )
         for u, v, col in schedule:
             lower = a[v - 1, col - 1]
-            if abs(lower) <= pivot_tol:
+            if abs(lower) <= PIVOT_TOL:
                 continue
             omega = float(np.arctan2(lower.real, a[u - 1, col - 1].real))
             g = GivensRotation(u, v, omega)
@@ -192,7 +188,7 @@ def decompose_by_elimination(
             elements.append(g)
 
     residual = float(np.max(np.abs(a - np.eye(m))))
-    if not residual <= residual_tol:
+    if not residual <= ELIMINATION_RESIDUAL_TOL:
         raise RuntimeError(
             f"elimination did not reach the identity, residual {residual:.3e}"
         )

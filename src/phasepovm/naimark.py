@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import COMPARISON_TOL
 from .povm import povm_element, psi_k, random_density, validate_outcome_count
 
 # Largest entry of B†B - G[M-2:, M-2:] that still counts as a complete
 # pair of last columns in the recursive construction.
 SKIP_TOL = 1e-12
+
+# Random qubit states on which verify_naimark compares the statistics.
+NUM_STATES = 20
 
 
 def column_order(m: int) -> tuple[int, ...]:
@@ -154,14 +156,6 @@ def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
     return np.outer(col, col.conj())
 
 
-def embed_with_ancilla(m: int, rho) -> np.ndarray:
-    """Lift a qubit state to the extended space: |e1><e1|_A tensor rho."""
-    rho = np.asarray(rho, dtype=complex)
-    rho_a = np.zeros((m // 2, m // 2), dtype=complex)
-    rho_a[0, 0] = 1.0
-    return np.kron(rho_a, rho)
-
-
 @dataclass(frozen=True)
 class NaimarkReport:
     """Worst-case residuals of the extension constraints.
@@ -194,25 +188,15 @@ class NaimarkReport:
         )
 
 
-def verify_naimark(
-    ext: ExtensionMatrix,
-    tol: float = COMPARISON_TOL,
-    seed: int = 0,
-    num_states: int = 20,
-) -> NaimarkReport:
+def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
     """Measure how well an extension satisfies all its constraints.
 
     Never raises on a bad matrix; every violation shows up as a
-    residual, to be judged against ``tol`` via report.within_tolerance.
-    The probability check compares the qubit-level statistics
-    Tr[Pi_k rho] against the extended-space statistics
-    Tr[P_k (rho_A tensor rho)] on ``num_states`` random qubit states
-    drawn from a generator seeded with ``seed``; at least one is needed.
+    residual, to be judged via report.within_tolerance. The probability
+    check compares the qubit-level statistics Tr[Pi_k rho] against the
+    extended-space statistics Tr[P_k (rho_A tensor rho)] on NUM_STATES
+    random qubit states drawn from a generator seeded with ``seed``.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if num_states < 1:
-        raise ValueError(f"num_states must be at least 1, got {num_states}")
     m, z = ext.M, ext.Z
     eye = np.eye(m)
     gram = z.conj().T @ z
@@ -231,7 +215,7 @@ def verify_naimark(
     max_block = float(np.max(np.abs(blocks - reference)))
 
     rng = np.random.default_rng(seed)
-    rhos = np.array([random_density(rng) for _ in range(num_states)]).reshape(-1, 2, 2)
+    rhos = np.array([random_density(rng) for _ in range(NUM_STATES)])
     # The lifted state |e1><e1| x rho is zero outside its top 2x2 block,
     # so Tr[P_j lifted] = z[:2, j]† rho z[:2, j]: O(M) per state
     extended = np.einsum("ja,sab,jb->sj", top.conj(), rhos, top).real

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default tolerance for comparisons between computed quantities.
+# Tolerance for comparisons between computed quantities.
 COMPARISON_TOL = 1e-10
 
 
@@ -29,10 +29,10 @@ def adjoint(a) -> np.ndarray:
     return _as_matrix(a).conj().T.copy()
 
 
-def is_unitary(a, tol: float = COMPARISON_TOL) -> bool:
-    """Check whether a square matrix is unitary within ``tol``.
+def is_unitary(a) -> bool:
+    """Check whether a square matrix is unitary within COMPARISON_TOL.
 
-    True iff the max-abs entries of both A†A - I and AA† - I are <= tol.
+    True iff the max-abs entries of both A†A - I and AA† - I are within it.
     Raises ValueError for non-square input rather than returning False,
     since that is a usage bug and not a numerical answer.
     """
@@ -43,7 +43,7 @@ def is_unitary(a, tol: float = COMPARISON_TOL) -> bool:
     eye = np.eye(n)
     left = np.max(np.abs(a.conj().T @ a - eye))
     right = np.max(np.abs(a @ a.conj().T - eye))
-    return bool(max(left, right) <= tol)
+    return bool(max(left, right) <= COMPARISON_TOL)
 
 
 def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:

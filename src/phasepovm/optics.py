@@ -20,8 +20,7 @@ detector of block k means outcome k, on the V detector outcome k + M/2.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -172,7 +171,9 @@ def _apply_to_rows(arr: np.ndarray, e: OpticalElement, paths: int) -> None:
     elif isinstance(e, PBS):
         _apply_to_rows(arr, PPBS(e.path_a, e.path_b, 0.0, np.pi / 2), paths)
     elif isinstance(e, Detector):
-        pass  # readout marker, no amplitude change
+        # readout marker, no amplitude change
+        if e.path > paths:
+            raise ValueError(f"path {e.path} out of range ({paths} paths)")
     else:
         raise TypeError(f"not an optical element: {e!r}")
 
@@ -186,26 +187,42 @@ def apply_element(state: ModeAmplitudes, e: OpticalElement) -> ModeAmplitudes:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A concrete interferometer layout with its detector assignment.
+    """A concrete interferometer layout; its Detector elements assign outcomes.
 
-    detector_map sends (path, polarization) to the outcome label of the
-    detector sitting there, covering all M outcomes exactly once. It is
-    stored as a read-only copy, so the cached isometry cannot go stale,
-    and left out of the hash because a mapping proxy has none.
-    port_outcomes records the outcome carried by each logical output
-    port of the compiled netlist (port j holds outcome port_outcomes[j-1]),
-    which is the interleaved ordering of the extension columns.
+    The Detector elements are the one record of which (path, polarization)
+    reads which outcome, and they must cover outcomes 0..M-1 exactly once.
     """
 
     M: int
     n_paths: int
     elements: tuple[OpticalElement, ...]
-    detector_map: Mapping[tuple[int, str], int] = field(hash=False)
-    port_outcomes: tuple[int, ...]
 
     def __post_init__(self):
-        detectors = MappingProxyType(dict(self.detector_map))
-        object.__setattr__(self, "detector_map", detectors)
+        outcomes = sorted(e.outcome for e in self.elements if isinstance(e, Detector))
+        if outcomes != list(range(self.M)) or len(self.detector_map) != self.M:
+            raise ValueError(
+                f"detectors must read each outcome 0..{self.M - 1} once, at distinct modes"
+            )
+
+    @property
+    def detector_map(self) -> MappingProxyType:
+        """Read-only map from (path, polarization) to its detector's outcome."""
+        return MappingProxyType(
+            {
+                (e.path, e.polarization): e.outcome
+                for e in self.elements
+                if isinstance(e, Detector)
+            }
+        )
+
+    @property
+    def port_outcomes(self) -> tuple[int, ...]:
+        """Outcome of each logical output port of the compiled netlist.
+
+        Port j holds outcome port_outcomes[j-1]: the interleaved ordering
+        of the extension columns.
+        """
+        return column_order(self.M)
 
     @cached_property
     def isometry(self) -> np.ndarray:
@@ -265,7 +282,6 @@ def build_direct_scheme(m: int) -> Scheme:
         PolarizationRotation(1, float(np.pi / 4)),
         WaveplatePhase(1, float(np.pi / 2)),
     ]
-    detector_map: dict[tuple[int, str], int] = {}
     current = 1
     next_path = 2
     for k in range(m // 2 - 1):
@@ -278,23 +294,13 @@ def build_direct_scheme(m: int) -> Scheme:
         elements.append(Detector(current, "H", k))
         elements.append(Detector(det, "V", k + m // 2))
         elements.append(PolarizationRotation(passthrough, float(np.pi + np.pi / m)))
-        detector_map[(current, "H")] = k
-        detector_map[(det, "V")] = k + m // 2
         current = passthrough
     det = next_path
     next_path += 1
     elements.append(PBS(det, current))
     elements.append(Detector(current, "H", m // 2 - 1))
     elements.append(Detector(det, "V", m - 1))
-    detector_map[(current, "H")] = m // 2 - 1
-    detector_map[(det, "V")] = m - 1
-    return Scheme(
-        M=m,
-        n_paths=next_path - 1,
-        elements=tuple(elements),
-        detector_map=detector_map,
-        port_outcomes=column_order(m),
-    )
+    return Scheme(M=m, n_paths=next_path - 1, elements=tuple(elements))
 
 
 def _propagate(scheme: Scheme, arr: np.ndarray) -> np.ndarray:

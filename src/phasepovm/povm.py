@@ -101,22 +101,23 @@ def pure_phase_state(phi: float) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def validate_density(rho, tol: float = DENSITY_TOL) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Validate a 2x2 density matrix: Hermitian, unit trace, positive.
 
     Returns the matrix as a complex array; raises ValueError on any
-    violation beyond ``tol``.
+    violation beyond DENSITY_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
         raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
+    if np.min(np.linalg.eigvalsh(rho)) < -DENSITY_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

@@ -181,6 +181,8 @@ def test_apply_element_rejects_out_of_range_paths():
         apply_element(s, PolarizationRotation(2, 0.1))
     with pytest.raises(ValueError, match="out of range"):
         apply_element(s, PPBS(1, 2, 0.1, 0.2))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_element(s, Detector(2, "H", 0))
     with pytest.raises(ValueError):
         PPBS(1, 1, 0.1, 0.2)
 
@@ -320,13 +322,41 @@ def test_scheme_is_hashable_and_its_detector_map_read_only():
     assert scheme == build_direct_scheme(4)
     with pytest.raises(TypeError):
         scheme.detector_map[(1, "H")] = 3
-    # the scheme keeps its own copy, so the caller's dict cannot stale V
-    detectors = dict(scheme.detector_map)
-    copy = dataclasses.replace(scheme, detector_map=detectors)
-    v = copy.isometry
-    detectors[(1, "H")], detectors[(2, "H")] = 1, 0
-    assert copy == scheme
-    np.testing.assert_array_equal(copy.isometry, v)
+    # the map is derived from the Detector elements, the one record
+    detectors = [e for e in scheme.elements if isinstance(e, Detector)]
+    assert len(detectors) == 4
+    assert scheme.detector_map == {(d.path, d.polarization): d.outcome for d in detectors}
+    # equality compares the detectors: relabelling one gives another scheme
+    swapped = tuple(
+        dataclasses.replace(e, outcome=3 - e.outcome) if isinstance(e, Detector) else e
+        for e in scheme.elements
+    )
+    assert dataclasses.replace(scheme, elements=swapped) != scheme
+
+
+def test_scheme_needs_each_outcome_read_exactly_once():
+    scheme = build_direct_scheme(4)
+    zero = next(e for e in scheme.elements if isinstance(e, Detector) and e.outcome == 0)
+    missing = tuple(e for e in scheme.elements if e is not zero)
+    duplicated = tuple(
+        dataclasses.replace(e, outcome=1) if e is zero else e for e in scheme.elements
+    )
+    # outcome 0 read at the mode of outcome 1, and a repeated detector
+    one = next(e for e in scheme.elements if isinstance(e, Detector) and e.outcome == 1)
+    shared = tuple(
+        dataclasses.replace(one, outcome=0) if e is zero else e for e in scheme.elements
+    )
+    repeated = scheme.elements + (zero,)
+    out_of_range = scheme.elements + (Detector(scheme.n_paths, "H", 4),)
+    for elements in (missing, duplicated, shared, repeated, out_of_range):
+        with pytest.raises(ValueError, match="each outcome 0..3 once"):
+            dataclasses.replace(scheme, elements=elements)
+    # a detector beyond the last path is a usage error, not an IndexError
+    beyond = tuple(
+        dataclasses.replace(e, path=99) if e is zero else e for e in scheme.elements
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        dataclasses.replace(scheme, elements=beyond).isometry
 
 
 def test_simulate_direct_analytic_example_m4():
