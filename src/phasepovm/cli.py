@@ -22,6 +22,7 @@ progress lines to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -39,10 +40,11 @@ from .compiler import (
 from .naimark import (
     build_extension_closed,
     build_extension_recursive,
-    extension_to_csv,
-    extension_to_json_dict,
     verify_naimark,
+    write_extension_csv,
+    write_extension_json,
 )
+from .numerics import row_slices, write_csv_rows, write_json_rows
 from .optics import (
     build_direct_scheme,
     distribution_to_csv,
@@ -54,6 +56,7 @@ from .optics import (
 )
 from .povm import (
     analytic_phase_distribution,
+    analytic_phase_table,
     guessing_probability,
     outcome_distribution,
     phase_povm,
@@ -177,11 +180,19 @@ def load_density(cfg: RunConfig) -> np.ndarray:
     raise ValueError("an input state is required: give --phi or --state-file")
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The --out file opened for writing text, or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -231,14 +242,10 @@ def cmd_extend(cfg: RunConfig) -> int:
     report = verify_naimark(closed, seed=cfg.seed)
 
     path_closed, path_recursive = _extension_paths(cfg)
-    if cfg.output_format == "json":
-        path_closed.write_text(_json_text(extension_to_json_dict(closed)), encoding="utf-8")
-        path_recursive.write_text(
-            _json_text(extension_to_json_dict(recursive)), encoding="utf-8"
-        )
-    else:
-        path_closed.write_text(extension_to_csv(closed), encoding="utf-8")
-        path_recursive.write_text(extension_to_csv(recursive), encoding="utf-8")
+    write = write_extension_json if cfg.output_format == "json" else write_extension_csv
+    for ext, path in ((closed, path_closed), (recursive, path_recursive)):
+        with path.open("w", encoding="utf-8") as fh:
+            write(ext, fh)
 
     _note(f"wrote {path_closed} and {path_recursive}")
     _note(f"closed vs recursive max difference: {diff:.3e}")
@@ -307,30 +314,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.steps is None or cfg.steps < 1:
         raise ValueError(f"steps must be a positive integer, got {cfg.steps}")
-    phis = [2.0 * np.pi * i / cfg.steps for i in range(cfg.steps)]
-    rows = [analytic_phase_distribution(cfg.M, phi) for phi in phis]
+    # validates M before --out is opened
     guess = guessing_probability(cfg.M)
-
-    if cfg.output_format == "json":
-        payload = {
-            "M": cfg.M,
-            "steps": cfg.steps,
-            "guessing_probability": float(guess),
-            "rows": [
-                {"phi": float(phi), "probabilities": [float(p) for p in d.probabilities]}
-                for phi, d in zip(phis, rows)
-            ],
-        }
-        text = _json_text(payload)
-    else:
-        header = "phi," + ",".join(f"p_{k}" for k in range(cfg.M))
-        lines = [header]
-        for phi, d in zip(phis, rows):
-            lines.append(
-                f"{float(phi)!r}," + ",".join(f"{float(p)!r}" for p in d.probabilities)
+    phis = 2.0 * np.pi * np.arange(cfg.steps) / cfg.steps
+    # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi)
+    blocks = (
+        np.column_stack((phis[rows], analytic_phase_table(cfg.M, phis[rows])))
+        for rows in row_slices(cfg.steps, cfg.M + 1)
+    )
+    with _output(cfg.out) as fh:
+        if cfg.output_format == "json":
+            write_json_rows(
+                fh,
+                {"M": cfg.M, "steps": cfg.steps, "guessing_probability": float(guess)},
+                "rows",
+                lambda v: {"phi": v[0], "probabilities": v[1:]},
+                blocks,
             )
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+        else:
+            header = "phi," + ",".join(f"p_{k}" for k in range(cfg.M))
+            write_csv_rows(fh, header, blocks)
     _note(f"guessing probability: {guess!r}")
     return EXIT_OK
 

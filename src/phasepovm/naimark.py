@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import row_slices, write_csv_rows, write_json_rows
 from .povm import povm_element, psi_k, random_density, validate_outcome_count
 
 # Largest entry of B†B - G[M-2:, M-2:] that still counts as a complete
@@ -231,21 +232,28 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
     )
 
 
-def extension_to_json_dict(ext: ExtensionMatrix) -> dict:
-    """JSON-friendly form: entries as [re, im] pairs, row major."""
-    return {
-        "M": ext.M,
-        "column_order": list(ext.column_order),
-        "matrix": [
-            [[float(v.real), float(v.imag)] for v in row] for row in ext.Z
-        ],
-    }
+def _row_blocks(ext: ExtensionMatrix):
+    """Blocks of Z's rows as floats, each entry's real part then its imaginary part."""
+    for rows in row_slices(ext.M, 2 * ext.M):
+        yield np.ascontiguousarray(ext.Z[rows], dtype=complex).view(np.float64)
 
 
-def extension_to_csv(ext: ExtensionMatrix) -> str:
+def write_extension_json(ext: ExtensionMatrix, fh) -> None:
+    """JSON form: entries as [re, im] pairs, row major, streamed to ``fh``.
+
+    The bytes equal json.dumps({"M": M, "column_order": [...], "matrix":
+    [[[re, im], ...], ...]}, indent=2) followed by a newline.
+    """
+    write_json_rows(
+        fh,
+        {"M": ext.M, "column_order": list(ext.column_order)},
+        "matrix",
+        lambda v: [v[i : i + 2] for i in range(0, len(v), 2)],
+        _row_blocks(ext),
+    )
+
+
+def write_extension_csv(ext: ExtensionMatrix, fh) -> None:
     """CSV form with interleaved re/im columns, one row per matrix row."""
     header = ",".join(f"col{j}_re,col{j}_im" for j in range(ext.M))
-    lines = [header]
-    for row in ext.Z:
-        lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
-    return "\n".join(lines) + "\n"
+    write_csv_rows(fh, header, _row_blocks(ext))

@@ -5,14 +5,31 @@ ancilla-plus-qubit spaces always use ancilla-major ordering: basis index
 2*a + s for ancilla level a and qubit level s, so the qubit index varies
 fastest. Everything here is a pure function and safe to call from
 multiple threads.
+
+The export writers live here too: one float formatter, and CSV and JSON
+writers that stream a table to an open text file one block of rows at a
+time, with the same bytes as a per-entry ``repr`` join and as
+``json.dumps(payload, indent=2) + "\\n"``.
 """
 
 from __future__ import annotations
+
+import json
+import textwrap
 
 import numpy as np
 
 # Tolerance for comparisons between computed quantities.
 COMPARISON_TOL = 1e-10
+
+# Floats per block of rows a writer formats at once; bounds its memory.
+BLOCK_VALUES = 1 << 16
+
+# json.dumps spells the non-finite floats this way; repr gives nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Stands in for each float when a JSON row is dumped to find its layout
+_PLACEHOLDER = "\x00"
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -84,3 +101,67 @@ def partial_trace_ancilla(p) -> np.ndarray:
     if n % 2 != 0:
         raise ValueError(f"dimension must be even to split off a qubit, got {n}")
     return p[:2, :2].copy()
+
+
+def row_slices(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row ranges of at most BLOCK_VALUES floats (one row at least)."""
+    step = max(1, BLOCK_VALUES // row_len)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _float_reprs(values: np.ndarray) -> np.ndarray:
+    """repr(float(x)) of every float64 entry, as an object array of that shape.
+
+    Each distinct bit pattern is formatted once: np.unique on the int64
+    view (which keeps -0.0 apart from 0.0), then indexed back.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].reshape(a.shape)
+
+
+def _row_texts(text: np.ndarray, pieces: list[str]):
+    """Yield pieces[0] v_0 pieces[1] v_1 ... v_{C-1} pieces[C] for each row."""
+    tokens = [""] * (2 * text.shape[1] + 1)
+    tokens[0::2] = pieces
+    for row in text.tolist():
+        tokens[1::2] = row
+        yield "".join(tokens)
+
+
+def write_csv_rows(fh, header: str, blocks) -> None:
+    """Write a header line, then one line per row of each 2-D float block.
+
+    A line is the ``repr`` of its entries joined by commas.
+    """
+    fh.write(header + "\n")
+    for block in blocks:
+        pieces = [""] + [","] * (block.shape[1] - 1) + ["\n"]
+        fh.writelines(_row_texts(_float_reprs(block), pieces))
+
+
+def write_json_rows(fh, fields: dict, key: str, row, blocks) -> None:
+    """Write ``json.dumps({**fields, key: rows}, indent=2) + "\\n"`` block by block.
+
+    ``fields`` must be non-empty. Each 2-D float block holds rows of
+    values, and ``row(values)`` is the JSON structure of one row (lists
+    and dicts around those values, in order). It is dumped once with
+    placeholders to find the text between the values, so the layout is
+    json's own.
+    """
+    head = json.dumps(fields, indent=2)[:-2]  # drop the closing "\n}"
+    fh.write(f"{head},\n  {json.dumps(key)}: [\n")
+    pieces, sep = None, ""
+    for block in blocks:
+        if pieces is None:
+            template = json.dumps(row([_PLACEHOLDER] * block.shape[1]), indent=2)
+            pieces = textwrap.indent(template, "    ").split(json.dumps(_PLACEHOLDER))
+        text = _float_reprs(block)
+        bad = ~np.isfinite(block)
+        text[bad] = [_JSON_NONFINITE[t] for t in text[bad]]
+        for line in _row_texts(text, pieces):
+            fh.write(sep)
+            fh.write(line)
+            sep = ",\n"
+    fh.write("\n  ]\n}\n")

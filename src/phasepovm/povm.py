@@ -154,15 +154,25 @@ def outcome_probability(povm: PhasePovm, k: int, rho) -> float:
     return float(outcome_distribution(povm, rho).probabilities[k])
 
 
+def analytic_phase_table(m: int, phis) -> np.ndarray:
+    """Closed-form P(k | phi) for every phase in ``phis``, one row per phase.
+
+    Row i is (1/M) (1 + cos(wrap(phis[i]) - 2*pi*k/M)) for k = 0..M-1,
+    the same elementwise arithmetic as analytic_phase_distribution.
+    """
+    m = validate_outcome_count(m)
+    phis = np.remainder(np.asarray(phis, dtype=float), TWO_PI)
+    k = np.arange(m)
+    return (1.0 + np.cos(phis[:, None] - TWO_PI * k / m)) / m
+
+
 def analytic_phase_distribution(m: int, phi: float) -> OutcomeDistribution:
     """Closed-form outcome distribution for the pure input phase phi.
 
     P(k) = (1/M) (1 + cos(phi - 2*pi*k/M)); sums to 1 for every phi.
     """
     m = validate_outcome_count(m)
-    phi = wrap_phase(phi)
-    k = np.arange(m)
-    p = (1.0 + np.cos(phi - TWO_PI * k / m)) / m
+    p = analytic_phase_table(m, [wrap_phase(phi)])[0]
     return OutcomeDistribution(M=m, probabilities=p)
 
 

@@ -10,7 +10,12 @@ import phasepovm.naimark as naimark
 from phasepovm.cli import main
 from phasepovm.naimark import build_extension_closed
 from phasepovm.optics import SlotDistribution
-from phasepovm.povm import OutcomeDistribution, psi_k
+from phasepovm.povm import (
+    OutcomeDistribution,
+    analytic_phase_distribution,
+    guessing_probability,
+    psi_k,
+)
 
 
 def run(*args):
@@ -191,6 +196,36 @@ def test_sweep_rows_sum_to_one(tmp_path, capsys):
     assert "guessing probability" in err
     guess = float(err.split("guessing probability:")[1].split()[0])
     assert guess == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sweep_files_equal_the_reference_encodings(tmp_path, capsys):
+    # reference: one analytic_phase_distribution call per phase
+    phis = [2.0 * np.pi * i / 90 for i in range(90)]
+    rows = [analytic_phase_distribution(8, phi).probabilities for phi in phis]
+    payload = {
+        "M": 8,
+        "steps": 90,
+        "guessing_probability": guessing_probability(8),
+        "rows": [
+            {"phi": phi, "probabilities": [float(p) for p in probs]}
+            for phi, probs in zip(phis, rows)
+        ],
+    }
+    lines = ["phi," + ",".join(f"p_{k}" for k in range(8))] + [
+        f"{phi!r}," + ",".join(repr(float(p)) for p in probs)
+        for phi, probs in zip(phis, rows)
+    ]
+    expected = {
+        "json": json.dumps(payload, indent=2) + "\n",
+        "csv": "\n".join(lines) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = tmp_path / f"s.{fmt}"
+        args = ("sweep", "--M", "8", "--steps", "90", "--format", fmt)
+        assert run(*args, "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == text
+        assert run(*args) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_sweep_steps_zero_is_usage_error(capsys):

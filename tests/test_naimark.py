@@ -1,22 +1,26 @@
 """Tests for the extension-matrix construction (closed form and recursive)."""
 
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
 
 import phasepovm.naimark as naimark
+from phasepovm.cli import main
 from phasepovm.naimark import (
     NUM_STATES,
     SKIP_TOL,
+    ExtensionMatrix,
     build_extension_closed,
     build_extension_recursive,
     closed_form_column,
     column_order,
-    extension_to_csv,
-    extension_to_json_dict,
     projector,
     verify_naimark,
+    write_extension_csv,
+    write_extension_json,
 )
 from phasepovm.numerics import partial_trace_ancilla
 from phasepovm.povm import povm_element, psi_k, random_density
@@ -30,6 +34,32 @@ def embed_with_ancilla(m, rho):
     rho_a = np.zeros((m // 2, m // 2), dtype=complex)
     rho_a[0, 0] = 1.0
     return np.kron(rho_a, np.asarray(rho, dtype=complex))
+
+
+def extension_to_json_dict(ext):
+    """Reference JSON form: entries as [re, im] pairs, row major."""
+    return {
+        "M": ext.M,
+        "column_order": list(ext.column_order),
+        "matrix": [
+            [[float(v.real), float(v.imag)] for v in row] for row in ext.Z
+        ],
+    }
+
+
+def extension_to_csv(ext):
+    """Reference CSV form: per-entry repr, interleaved re/im columns."""
+    header = ",".join(f"col{j}_re,col{j}_im" for j in range(ext.M))
+    lines = [header]
+    for row in ext.Z:
+        lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _written(write, ext):
+    buf = io.StringIO()
+    write(ext, buf)
+    return buf.getvalue()
 
 
 def _reference_z8():
@@ -296,7 +326,7 @@ def test_verify_naimark_probability_check_depends_on_seed_only_in_states():
 
 def test_json_and_csv_exports_round_trip_the_entries():
     ext = build_extension_closed(4)
-    d = extension_to_json_dict(ext)
+    d = json.loads(_written(write_extension_json, ext))
     assert d["M"] == 4
     assert d["column_order"] == [0, 2, 1, 3]
     rebuilt = np.array(
@@ -304,12 +334,44 @@ def test_json_and_csv_exports_round_trip_the_entries():
     )
     np.testing.assert_allclose(rebuilt, ext.Z)
 
-    csv = extension_to_csv(ext)
+    csv = _written(write_extension_csv, ext)
     lines = csv.strip().split("\n")
     assert lines[0].startswith("col0_re,col0_im")
     assert len(lines) == 5  # header + 4 rows
     first = [float(x) for x in lines[1].split(",")]
     assert abs(first[0] - ext.Z[0, 0].real) < 1e-15
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64])
+@pytest.mark.parametrize("build", [build_extension_closed, build_extension_recursive])
+def test_writers_equal_the_reference_encodings(build, m):
+    ext = build(m)
+    expected = json.dumps(extension_to_json_dict(ext), indent=2) + "\n"
+    assert _written(write_extension_json, ext) == expected
+    assert _written(write_extension_csv, ext) == extension_to_csv(ext)
+
+
+def test_writers_keep_signed_zeros_and_non_finite_entries():
+    ext = build_extension_closed(8)
+    z = ext.Z.copy()
+    z[0, :6] = [-0.0, complex(0.0, -0.0), np.nan, np.inf, -np.inf, complex(1e16, 1e-5)]
+    broken = ExtensionMatrix(M=8, Z=z, column_order=ext.column_order)
+    json_text = _written(write_extension_json, broken)
+    assert json_text == json.dumps(extension_to_json_dict(broken), indent=2) + "\n"
+    assert "-0.0" in json_text and "NaN" in json_text and "-Infinity" in json_text
+    assert _written(write_extension_csv, broken) == extension_to_csv(broken)
+
+
+def test_extend_files_equal_the_reference_encodings(tmp_path, capsys):
+    ext = {"closed": build_extension_closed(64), "recursive": build_extension_recursive(64)}
+    assert main(["extend", "--M", "64", "--out", str(tmp_path / "e.json")]) == 0
+    assert main(["extend", "--M", "64", "--format", "csv", "--out", str(tmp_path / "e.csv")]) == 0
+    capsys.readouterr()
+    for name, e in ext.items():
+        written = (tmp_path / f"e_{name}.json").read_text(encoding="utf-8")
+        assert written == json.dumps(extension_to_json_dict(e), indent=2) + "\n"
+        written = (tmp_path / f"e_{name}.csv").read_text(encoding="utf-8")
+        assert written == extension_to_csv(e)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 3, 12])

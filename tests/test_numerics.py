@@ -1,16 +1,84 @@
-"""Unit tests for the small dense linear-algebra kernel."""
+"""Unit tests for the small dense linear-algebra kernel and the export writers."""
+
+import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasepovm.numerics import (
     adjoint,
     is_unitary,
     partial_trace_ancilla,
     rotate_rows,
+    write_csv_rows,
+    write_json_rows,
 )
 
 SEED = 20240811
+
+# Signed zeros, non-finite values, subnormals, and the values around 1e16
+# and 1e-4 where repr switches between positional and exponent notation
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    np.nan,
+    np.inf,
+    -np.inf,
+    5e-324,
+    -2.225073858507201e-308,
+    1e16,
+    -np.nextafter(1e16, 0.0),
+    1e-5,
+    np.nextafter(1e-4, 0.0),
+    1e-4,
+]
+
+# A JSON row built around its float values: a flat list, [re, im] pairs,
+# and the sweep's {"phi": ..., "probabilities": [...]} object
+ROW_LAYOUTS = [
+    lambda v: v,
+    lambda v: [v[i : i + 2] for i in range(0, len(v), 2)],
+    lambda v: {"phi": v[0], "probabilities": v[1:]},
+]
+
+
+@st.composite
+def float_blocks(draw):
+    """1-3 blocks of float64 rows that share one even row length."""
+    cols = 2 * draw(st.integers(min_value=1, max_value=4))
+    elements = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
+    return [
+        draw(arrays(np.float64, (draw(st.integers(1, 4)), cols), elements=elements))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+SPECIAL_BLOCKS = [np.array(SPECIAL_FLOATS).reshape(3, 4), np.array([SPECIAL_FLOATS[::-1][:4]])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=float_blocks(), layout=st.sampled_from(ROW_LAYOUTS))
+@example(blocks=SPECIAL_BLOCKS, layout=ROW_LAYOUTS[1])
+def test_json_writer_equals_json_dumps(blocks, layout):
+    fields = {"M": 4, "column_order": [0, 2, 1, 3]}
+    rows = [layout([float(x) for x in row]) for block in blocks for row in block]
+    buf = io.StringIO()
+    write_json_rows(buf, fields, "rows", layout, blocks)
+    assert buf.getvalue() == json.dumps({**fields, "rows": rows}, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=float_blocks())
+@example(blocks=SPECIAL_BLOCKS)
+def test_csv_writer_equals_the_repr_join(blocks):
+    lines = [",".join(repr(float(x)) for x in row) for block in blocks for row in block]
+    buf = io.StringIO()
+    write_csv_rows(buf, "a,b", blocks)
+    assert buf.getvalue() == "a,b\n" + "".join(line + "\n" for line in lines)
 
 
 def _random_unitary(rng, n):
