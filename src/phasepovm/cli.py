@@ -38,6 +38,7 @@ from .compiler import (
     netlists_equal,
 )
 from .naimark import (
+    NUM_STATES,
     build_extension_closed,
     build_extension_recursive,
     verify_naimark,
@@ -72,6 +73,9 @@ EXIT_VERIFICATION = 2
 # Largest accepted --M: Z alone is M x M complex128, 256 MiB at 4096
 MAX_OUTCOMES = 4096
 
+# The commands with a CSV form; the rest write JSON (povm writes text)
+CSV_COMMANDS = ("extend", "simulate", "sweep")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,6 +100,11 @@ class RunConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.phi is not None and not np.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
+        if self.output_format == "csv" and self.command not in CSV_COMMANDS:
+            raise ValueError(
+                f"{self.command} has no CSV form (it writes JSON or text); "
+                f"--format csv applies to {', '.join(CSV_COMMANDS)}"
+            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +212,11 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _max_gap(a, b) -> float:
+    """Largest |a - b| entry; np.max keeps a NaN, which then fails its check."""
+    return float(np.max(np.abs(a - b)))
+
+
 def _fmt_complex(v: complex) -> str:
     return f"{v.real:+.12f}{v.imag:+.12f}j"
 
@@ -238,7 +252,7 @@ def _extension_paths(cfg: RunConfig) -> tuple[Path, Path]:
 def cmd_extend(cfg: RunConfig) -> int:
     closed = build_extension_closed(cfg.M)
     recursive = build_extension_recursive(cfg.M)
-    diff = float(np.max(np.abs(closed.Z - recursive.Z)))
+    diff = _max_gap(closed.Z, recursive.Z)
     report = verify_naimark(closed, seed=cfg.seed)
 
     path_closed, path_recursive = _extension_paths(cfg)
@@ -260,16 +274,12 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 
 def cmd_compile(cfg: RunConfig) -> int:
-    if cfg.output_format != "json":
-        raise ValueError("netlists are emitted as JSON only")
     net = decompose_closed(cfg.M)
     _emit(_json_text(netlist_to_json_dict(net)), cfg.out)
     _note(f"netlist for M = {cfg.M}: {len(net.elements)} elements")
     if cfg.verify:
         z = build_extension_closed(cfg.M).Z
-        residual = float(
-            np.max(np.abs(evaluate_netlist(net) @ z - np.eye(cfg.M)))
-        )
+        residual = _max_gap(evaluate_netlist(net) @ z, np.eye(cfg.M))
         _note(f"round-trip residual |netlist * Z - I|: {residual:.3e}")
         if not residual <= cfg.tolerance:
             return EXIT_VERIFICATION
@@ -288,9 +298,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         folded_sd = simulate_folded(cfg.M, rho)
 
     if cfg.scheme == "both":
-        disc = float(
-            np.max(np.abs(folded_sd.flatten().probabilities - direct_dist.probabilities))
-        )
+        disc = _max_gap(folded_sd.flatten().probabilities, direct_dist.probabilities)
         _note(f"max direct/folded discrepancy: {disc:.3e}")
         if not disc <= cfg.tolerance:
             status = EXIT_VERIFICATION
@@ -316,11 +324,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError(f"steps must be a positive integer, got {cfg.steps}")
     # validates M before --out is opened
     guess = guessing_probability(cfg.M)
-    phis = 2.0 * np.pi * np.arange(cfg.steps) / cfg.steps
-    # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi)
+    # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi); each block
+    # builds only its own grid points, so memory does not grow with --steps
     blocks = (
-        np.column_stack((phis[rows], analytic_phase_table(cfg.M, phis[rows])))
+        np.column_stack((phis, analytic_phase_table(cfg.M, phis)))
         for rows in row_slices(cfg.steps, cfg.M + 1)
+        for phis in [2.0 * np.pi * np.arange(*rows.indices(cfg.steps)) / cfg.steps]
     )
     with _output(cfg.out) as fh:
         if cfg.output_format == "json":
@@ -338,20 +347,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _simulator_residuals(m: int, rho) -> dict[str, float]:
+    """Direct-vs-analytic and (M > 2) folded-vs-direct gaps; rho may be a stack."""
+    analytic = outcome_distribution(phase_povm(m), rho).probabilities
+    direct = simulate_direct(build_direct_scheme(m), rho).probabilities
+    residuals = {"direct_vs_analytic": _max_gap(direct, analytic)}
+    if m > 2:
+        folded = simulate_folded(m, rho).flatten().probabilities
+        residuals["folded_vs_direct"] = _max_gap(folded, direct)
+    return residuals
+
+
 def cmd_compare(cfg: RunConfig) -> int:
-    rho = load_density(cfg)
-    analytic = outcome_distribution(phase_povm(cfg.M), rho)
-    direct = simulate_direct(build_direct_scheme(cfg.M), rho)
-    residuals = {
-        "direct_vs_analytic": float(
-            np.max(np.abs(direct.probabilities - analytic.probabilities))
-        )
-    }
-    if cfg.M > 2:
-        folded = simulate_folded(cfg.M, rho).flatten()
-        residuals["folded_vs_direct"] = float(
-            np.max(np.abs(folded.probabilities - direct.probabilities))
-        )
+    residuals = _simulator_residuals(cfg.M, load_density(cfg))
     for name, value in residuals.items():
         _note(f"{name}: {value:.3e}")
     payload = {
@@ -370,9 +378,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     closed = build_extension_closed(cfg.M)
     # the recursive Z is needed for this one number only, so it is not kept
-    checks["closed_vs_recursive"] = float(
-        np.max(np.abs(closed.Z - build_extension_recursive(cfg.M).Z))
-    )
+    checks["closed_vs_recursive"] = _max_gap(closed.Z, build_extension_recursive(cfg.M).Z)
 
     report = verify_naimark(closed, seed=cfg.seed)
     checks["orthogonality"] = report.max_orthogonality_residual
@@ -384,31 +390,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     net = decompose_closed(cfg.M)
     elim = decompose_by_elimination(closed)
     net_matrix = evaluate_netlist(net)
-    checks["netlist_round_trip"] = float(
-        np.max(np.abs(net_matrix @ closed.Z - np.eye(cfg.M)))
-    )
-    checks["elimination_vs_closed_matrix"] = float(
-        np.max(np.abs(evaluate_netlist(elim) - net_matrix))
-    )
+    checks["netlist_round_trip"] = _max_gap(net_matrix @ closed.Z, np.eye(cfg.M))
+    checks["elimination_vs_closed_matrix"] = _max_gap(evaluate_netlist(elim), net_matrix)
     structural = netlists_equal(net, elim, tol=cfg.tolerance)
 
     rng = np.random.default_rng(cfg.seed)
-    scheme = build_direct_scheme(cfg.M)
-    povm = phase_povm(cfg.M)
-    sim_residuals = []
-    folded_residuals = []
-    for _ in range(20):
-        rho = random_density(rng)
-        analytic = outcome_distribution(povm, rho)
-        direct = simulate_direct(scheme, rho)
-        sim_residuals.append(np.abs(direct.probabilities - analytic.probabilities))
-        if cfg.M > 2:
-            folded = simulate_folded(cfg.M, rho).flatten()
-            folded_residuals.append(np.abs(folded.probabilities - direct.probabilities))
-    # np.max keeps a NaN residual; Python's max(acc, nan) would drop it
-    checks["direct_vs_analytic"] = float(np.max(sim_residuals))
-    if cfg.M > 2:
-        checks["folded_vs_direct"] = float(np.max(folded_residuals))
+    rhos = [random_density(rng) for _ in range(NUM_STATES)]
+    checks.update(_simulator_residuals(cfg.M, rhos))
 
     checks["guessing_probability"] = abs(guessing_probability(cfg.M) - 2.0 / cfg.M)
 

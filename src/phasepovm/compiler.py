@@ -15,7 +15,9 @@ rotations until the identity remains.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -241,17 +243,31 @@ def netlist_to_json_dict(n: Netlist) -> dict:
     return {"M": n.M, "elements": elements}
 
 
+# Each netlist JSON kind: its element type and typed fields, in argument order
+_JSON_ELEMENTS = {
+    "givens": (GivensRotation, (("u", int), ("v", int), ("omega", float))),
+    "phase": (PhaseShift, (("u", int), ("phi", float))),
+}
+
+
+def _json_field(obj: dict, key: str, kind: type, where: str) -> int | float:
+    """obj[key] as an int (no bool), or as a real that fits a finite float64 (no NaN)."""
+    value = obj.get(key)
+    ok = isinstance(value, Integral if kind is int else Real) and not isinstance(value, bool)
+    if not ok or (kind is float and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: needs a finite {kind.__name__} {key!r}, got {value!r}")
+    return kind(value)
+
+
 def netlist_from_json_dict(d: dict) -> Netlist:
-    m = int(d["M"])
+    """Parse the interchange schema; ValueError names any malformed entry."""
+    if not isinstance(d, dict) or not isinstance(d.get("elements"), list):
+        raise ValueError("netlist must be an object with an 'elements' list")
     elements: list[NetlistElement] = []
-    for entry in d["elements"]:
-        kind = entry.get("kind")
-        if kind == "givens":
-            elements.append(
-                GivensRotation(int(entry["u"]), int(entry["v"]), float(entry["omega"]))
-            )
-        elif kind == "phase":
-            elements.append(PhaseShift(int(entry["u"]), float(entry["phi"])))
-        else:
-            raise ValueError(f"unknown netlist element kind: {kind!r}")
-    return Netlist(M=m, elements=tuple(elements))
+    for i, entry in enumerate(d["elements"]):
+        where = f"netlist element {i} {entry!r}"
+        if not isinstance(entry, dict) or entry.get("kind") not in _JSON_ELEMENTS:
+            raise ValueError(f"{where}: not an object of kind 'givens' or 'phase'")
+        cls, fields = _JSON_ELEMENTS[entry["kind"]]
+        elements.append(cls(*(_json_field(entry, k, t, where) for k, t in fields)))
+    return Netlist(M=_json_field(d, "M", int, "netlist"), elements=tuple(elements))

@@ -319,10 +319,11 @@ def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
     """Click probabilities P_k = (V rho V†)_kk of an M x 2 isometry V.
 
     The photon enters on two modes, so every layout acts on the qubit
-    state through V alone; a mixed state needs no diagonalization.
+    state through V alone; a mixed state needs no diagonalization. An
+    (S, 2, 2) stack of states gives one row of probabilities per state.
     """
     rho = validate_density(rho)
-    p = np.einsum("ka,ab,kb->k", v, rho, v.conj()).real
+    p = np.einsum("ka,...ab,kb->...k", v, rho, v.conj()).real
     return OutcomeDistribution(M=len(v), probabilities=p)
 
 
@@ -378,7 +379,7 @@ class SlotDistribution:
     """Click probabilities per time slot of the folded scheme.
 
     probabilities has shape (M/2, 2); row k holds (P_H, P_V) for slot
-    k+1, which map to outcomes k and k + M/2.
+    k+1, which map to outcomes k and k + M/2; (S, M/2, 2) for S states.
     """
 
     M: int
@@ -386,7 +387,7 @@ class SlotDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (self.M // 2, 2):
+        if p.ndim not in (2, 3) or p.shape[-2:] != (self.M // 2, 2):
             raise ValueError(
                 f"expected shape {(self.M // 2, 2)}, got {p.shape}"
             )
@@ -397,7 +398,8 @@ class SlotDistribution:
         return self.M // 2
 
     def flatten(self) -> OutcomeDistribution:
-        return OutcomeDistribution(M=self.M, probabilities=self.probabilities.T.ravel())
+        p = self.probabilities.swapaxes(-2, -1)
+        return OutcomeDistribution(M=self.M, probabilities=p.reshape(*p.shape[:-2], self.M))
 
 
 @lru_cache
@@ -435,7 +437,8 @@ def simulate_folded(m: int, rho) -> SlotDistribution:
     """Time-slot-unrolled simulation of the loop scheme (see _folded_isometry)."""
     m = validate_outcome_count(m)
     p = _click_statistics(_folded_isometry(m), rho).probabilities
-    return SlotDistribution(M=m, probabilities=p.reshape(2, m // 2).T)
+    p = p.reshape(*p.shape[:-1], 2, m // 2).swapaxes(-2, -1)
+    return SlotDistribution(M=m, probabilities=p)
 
 
 def distribution_to_json_dict(dist: OutcomeDistribution) -> dict:

@@ -46,14 +46,14 @@ def wrap_phase(phi: float) -> float:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over the M measurement outcomes, indexed by k."""
+    """Probabilities over the M outcomes, indexed by k; (S, M) for S states."""
 
     M: int
     probabilities: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (self.M,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.M:
             raise ValueError(f"expected {self.M} probabilities, got shape {p.shape}")
         object.__setattr__(self, "probabilities", p)
 
@@ -102,20 +102,20 @@ def pure_phase_state(phi: float) -> np.ndarray:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Validate a 2x2 density matrix: Hermitian, unit trace, positive.
+    """Validate a 2x2 density matrix or (S, 2, 2) stack: Hermitian, unit trace, positive.
 
-    Returns the matrix as a complex array; raises ValueError on any
-    violation beyond DENSITY_TOL.
+    Returns the states as a complex array; raises ValueError on any
+    violation beyond DENSITY_TOL, worded as for that state alone.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (2, 2) or rho.size == 0:
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
+    if np.max(np.abs(rho - rho.conj().swapaxes(-2, -1))) > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if (abs(trace.real - 1.0) > DENSITY_TOL).any() or (abs(trace.imag) > DENSITY_TOL).any():
         raise ValueError("density matrix trace differs from 1")
     if np.min(np.linalg.eigvalsh(rho)) < -DENSITY_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
@@ -141,10 +141,10 @@ def random_density(rng: np.random.Generator, pure: bool | None = None) -> np.nda
 
 
 def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
-    """Probabilities Tr[Pi_k rho] of every outcome k on state rho."""
+    """Probabilities Tr[Pi_k rho] of every outcome k on a state or (S, 2, 2) stack."""
     rho = validate_density(rho)
     # one 2x2 product per element keeps the digits; an einsum changes them
-    p = np.trace(povm.elements @ rho, axis1=1, axis2=2).real
+    p = np.trace(povm.elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
     return OutcomeDistribution(M=povm.M, probabilities=p)
 
 

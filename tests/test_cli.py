@@ -1,6 +1,8 @@
 """Tests for the command-line front end (exit codes, files, determinism)."""
 
+import collections
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ def test_usage_errors_exit_1(capsys):
     assert run("povm") == 1  # --M required
     assert run("no-such-command", "--M", "4") == 1
     assert run("povm", "--M", "4", "--format", "yaml") == 1
+    capsys.readouterr()
+    # only extend, simulate and sweep have a CSV form; JSON stays accepted
+    for args in (
+        ("povm", "--M", "4"),
+        ("verify", "--M", "4"),
+        ("compare", "--M", "4", "--phi", "1"),
+    ):
+        assert run(*args, "--format", "csv") == 1
+        assert "--format csv applies to extend, simulate, sweep" in capsys.readouterr().err
+        assert run(*args, "--format", "json") == 0
     capsys.readouterr()
     # above the M ceiling: refused by RunConfig, before any M x M array exists
     assert run("verify", "--M", "8192") == 1
@@ -228,6 +240,24 @@ def test_sweep_files_equal_the_reference_encodings(tmp_path, capsys):
         assert capsys.readouterr().out == text
 
 
+def test_sweep_memory_does_not_grow_with_steps(monkeypatch, capsys):
+    # drop each block unformatted, so only the table computation is measured
+    monkeypatch.setattr(
+        cli, "write_csv_rows", lambda fh, header, blocks: collections.deque(blocks, 0)
+    )
+    peaks = []
+    for steps in (10_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            assert run("sweep", "--M", "2", "--steps", str(steps), "--format", "csv") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # whole-grid index and phase arrays would add 16 bytes per step, 32 MB here
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+    capsys.readouterr()
+
+
 def test_sweep_steps_zero_is_usage_error(capsys):
     assert run("sweep", "--M", "4", "--steps", "0") == 1
     capsys.readouterr()
@@ -260,14 +290,13 @@ def test_verify_impossible_tolerance_exits_2(capsys):
 
 def test_verify_fails_on_a_nan_simulator_residual(monkeypatch, capsys):
     real = cli.simulate_direct
-    calls = []
 
     def nan_on_second_state(scheme, rho):
-        calls.append(rho)
-        dist = real(scheme, rho)
-        if len(calls) == 2:
-            return OutcomeDistribution(M=dist.M, probabilities=np.full(dist.M, np.nan))
-        return dist
+        # verify simulates its states as one stack; row 1 is the second state
+        p = real(scheme, rho).probabilities.copy()
+        assert p.shape == (naimark.NUM_STATES, scheme.M)
+        p[1] = np.nan
+        return OutcomeDistribution(M=scheme.M, probabilities=p)
 
     monkeypatch.setattr(cli, "simulate_direct", nan_on_second_state)
     assert run("verify", "--M", "8") == 2

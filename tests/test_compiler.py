@@ -224,6 +224,37 @@ def test_netlist_json_schema_round_trip():
         netlist_from_json_dict({"M": 4, "elements": [{"kind": "squeezer", "u": 1}]})
 
 
+GOOD_GIVENS = {"kind": "givens", "u": 1, "v": 2, "omega": 0.5}
+BAD_ENTRIES = [
+    {**GOOD_GIVENS, "u": 1.9},
+    {**GOOD_GIVENS, "u": True},
+    {"kind": "givens", "u": 1, "v": 2},
+    {"kind": "phase", "phi": 0.1},
+    [1, 2, 0.5],
+    {**GOOD_GIVENS, "omega": float("nan")},
+    {**GOOD_GIVENS, "omega": float("inf")},
+    {"kind": "phase", "u": 2, "phi": -float("inf")},
+    {"kind": "phase", "u": 2, "phi": "0.1"},
+    {"kind": "phase", "u": 2, "phi": 10**400},
+]
+
+
+@pytest.mark.parametrize(
+    "d, named",
+    [
+        ({"M": 4.7, "elements": [GOOD_GIVENS]}, "'M', got 4.7"),
+        ({"M": True, "elements": [GOOD_GIVENS]}, "'M', got True"),
+        ({"elements": [GOOD_GIVENS]}, "'M', got None"),
+        ({"M": 4}, "'elements'"),
+        *[({"M": 4, "elements": [GOOD_GIVENS, e]}, f"element 1 {e!r}") for e in BAD_ENTRIES],
+    ],
+)
+def test_netlist_from_json_dict_rejects_malformed_input(d, named):
+    with pytest.raises(ValueError) as err:
+        netlist_from_json_dict(d)
+    assert named in str(err.value)
+
+
 def test_evaluate_netlist_multiplies_in_application_order():
     # W(1,2, pi/2) then S(2, pi/2): first rotate, then phase the result
     net = Netlist(

@@ -35,6 +35,7 @@ from phasepovm.optics import (
 )
 from phasepovm.povm import (
     analytic_phase_distribution,
+    outcome_distribution,
     outcome_probability,
     phase_povm,
     pure_phase_state,
@@ -457,8 +458,32 @@ def test_folded_maximally_mixed_slots_are_uniform_pairs():
 
 
 def test_slot_distribution_shape_checked():
-    with pytest.raises(ValueError):
-        SlotDistribution(M=8, probabilities=np.zeros((3, 2)))
+    for shape in [(3, 2), (4, 3), (5, 3, 2), (5, 4, 3), (2, 5, 4, 2), (8,)]:
+        with pytest.raises(ValueError):
+            SlotDistribution(M=8, probabilities=np.zeros(shape))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 256, 1024])
+def test_a_stack_of_states_equals_the_per_state_calls_bit_for_bit(m):
+    rng = np.random.default_rng(SEED + m)
+    rhos = np.array([random_density(rng, pure=bool(s % 2)) for s in range(20)])
+    povm, scheme, net = phase_povm(m), build_direct_scheme(m), decompose_closed(m)
+    layers = {
+        "outcome_distribution": lambda rho: outcome_distribution(povm, rho),
+        "simulate_direct": lambda rho: simulate_direct(scheme, rho),
+        "simulate_netlist": lambda rho: simulate_netlist(net, rho),
+    }
+    if m > 2:
+        layers["simulate_folded"] = lambda rho: simulate_folded(m, rho).flatten()
+        slots = simulate_folded(m, rhos).probabilities
+        assert slots.shape == (20, m // 2, 2)
+        for rho, row in zip(rhos, slots):
+            assert np.array_equal(row, simulate_folded(m, rho).probabilities)
+    for name, run in layers.items():
+        stacked = run(rhos).probabilities
+        assert stacked.shape == (20, m), name
+        for s, rho in enumerate(rhos):
+            assert np.array_equal(stacked[s], run(rho).probabilities), (name, s)
 
 
 def test_distribution_serializers():

@@ -150,6 +150,36 @@ def test_validate_density_accepts_states_and_rejects_garbage():
         validate_density(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, np.nan], [0.0, 0.5]]),
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.eye(2),
+        np.diag([1.5, -0.5]),
+    ],
+)
+def test_a_stack_with_one_bad_state_raises_that_states_message(bad):
+    rng = np.random.default_rng(SEED)
+    stack = np.array([random_density(rng) for _ in range(5)])
+    stack[3] = bad
+    with pytest.raises(ValueError) as alone:
+        validate_density(bad)
+    with pytest.raises(ValueError) as stacked:
+        validate_density(stack)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match=str(alone.value)):
+        outcome_distribution(phase_povm(4), stack)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (2,), (2, 3), (5, 3, 3), (5, 2, 3), (0, 2, 2), (4, 2, 2, 2)]
+)
+def test_validate_density_rejects_wrong_trailing_shapes(shape):
+    with pytest.raises(ValueError, match="2x2"):
+        validate_density(np.full(shape, 0.5))
+
+
 def test_random_density_pure_flag_controls_rank():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
@@ -172,5 +202,6 @@ def test_guessing_probability_is_two_over_m(m, expected):
 
 
 def test_outcome_distribution_shape_checked():
-    with pytest.raises(ValueError):
-        OutcomeDistribution(M=4, probabilities=np.zeros(3))
+    for shape in [(3,), (5, 3), (2, 5, 4), (4, 1)]:
+        with pytest.raises(ValueError):
+            OutcomeDistribution(M=4, probabilities=np.zeros(shape))
