@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .compiler import (
+    apply_netlist,
     decompose_by_elimination,
     decompose_closed,
     evaluate_netlist,
@@ -73,7 +74,8 @@ EXIT_VERIFICATION = 2
 # Largest accepted --M: Z alone is M x M complex128, 256 MiB at 4096
 MAX_OUTCOMES = 4096
 
-# The commands with a CSV form; the rest write JSON (povm writes text)
+# The commands with a CSV form; the rest write JSON, except povm, which
+# writes text and takes no --format
 CSV_COMMANDS = ("extend", "simulate", "sweep")
 
 
@@ -123,22 +125,23 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, formats: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--M", type=int, required=True, help="outcome count, a power of 2")
         p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("json", "csv"),
-            default="json",
-            help="output format (default json)",
-        )
+        if formats:
+            p.add_argument(
+                "--format",
+                dest="output_format",
+                choices=("json", "csv"),
+                default="json",
+                help="output format (default json)",
+            )
         p.add_argument("--tolerance", type=float, default=1e-10, help="residual tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         return p
 
-    p = add("povm", "print the POVM elements, optionally with a distribution")
+    p = add("povm", "print the POVM elements, optionally with a distribution", formats=False)
     p.add_argument("--phi", type=float, default=None, help="input phase in radians")
 
     add("extend", "build and verify the extension matrix (closed and recursive)")
@@ -278,8 +281,8 @@ def cmd_compile(cfg: RunConfig) -> int:
     _emit(_json_text(netlist_to_json_dict(net)), cfg.out)
     _note(f"netlist for M = {cfg.M}: {len(net.elements)} elements")
     if cfg.verify:
-        z = build_extension_closed(cfg.M).Z
-        residual = _max_gap(evaluate_netlist(net) @ z, np.eye(cfg.M))
+        round_trip = apply_netlist(net, build_extension_closed(cfg.M).Z.copy())
+        residual = _max_gap(round_trip, np.eye(cfg.M))
         _note(f"round-trip residual |netlist * Z - I|: {residual:.3e}")
         if not residual <= cfg.tolerance:
             return EXIT_VERIFICATION
@@ -389,9 +392,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     net = decompose_closed(cfg.M)
     elim = decompose_by_elimination(closed)
-    net_matrix = evaluate_netlist(net)
-    checks["netlist_round_trip"] = _max_gap(net_matrix @ closed.Z, np.eye(cfg.M))
-    checks["elimination_vs_closed_matrix"] = _max_gap(evaluate_netlist(elim), net_matrix)
+    # one pass of the closed netlist N over [I | Z] gives N and NZ
+    eye = np.eye(cfg.M)
+    applied = apply_netlist(net, np.hstack([eye, closed.Z]))
+    net_matrix, round_trip = applied[:, : cfg.M], applied[:, cfg.M :]
+    checks["netlist_round_trip"] = _max_gap(round_trip, eye)
+    # the difference is taken in place: [I | Z] is still alive here
+    gap = evaluate_netlist(elim)
+    gap -= net_matrix
+    checks["elimination_vs_closed_matrix"] = float(np.max(np.abs(gap)))
     structural = netlists_equal(net, elim, tol=cfg.tolerance)
 
     rng = np.random.default_rng(cfg.seed)

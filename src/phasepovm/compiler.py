@@ -5,7 +5,10 @@ of real plane rotations W(u, v, omega) and single-mode phase shifts
 S(u, phi) = diag(..., e^{-i phi}, ...). Netlists store the factors in
 APPLICATION order: the first element acts first on the input vector, so
 
-    evaluate_netlist([e1, e2, ..., en]) = En @ ... @ E2 @ E1.
+    evaluate_netlist([e1, e2, ..., en]) = En @ ... @ E2 @ E1,
+
+and apply_netlist(net, a) left-multiplies ``a`` by that product in
+place, one element at a time, without forming it.
 
 Two routes produce the same netlist for extension matrices: a closed
 form (one bootstrap pair followed by rotation triplets on neighbouring
@@ -131,12 +134,24 @@ def decompose_closed(m: int) -> Netlist:
     return Netlist(M=m, elements=tuple(elements))
 
 
-def evaluate_netlist(n: Netlist) -> np.ndarray:
-    """Total transfer matrix of a netlist (last element leftmost)."""
-    a = np.eye(n.M, dtype=complex)
+def apply_netlist(n: Netlist, a: np.ndarray) -> np.ndarray:
+    """Left-multiply ``a`` by the netlist's transfer matrix, in place.
+
+    ``a`` is a complex array with M rows (or M entries) and any number
+    of columns; each element costs O(columns). Returns ``a``.
+    """
+    if a.dtype != complex or len(a) != n.M:
+        raise ValueError(
+            f"need a complex array with {n.M} rows, got {a.dtype} of shape {a.shape}"
+        )
     for e in n.elements:
         _apply_element(a, e)
     return a
+
+
+def evaluate_netlist(n: Netlist) -> np.ndarray:
+    """Total transfer matrix of a netlist (last element leftmost)."""
+    return apply_netlist(n, np.eye(n.M, dtype=complex))
 
 
 def decompose_by_elimination(z) -> Netlist:
@@ -152,19 +167,22 @@ def decompose_by_elimination(z) -> Netlist:
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
 
-    Raises ValueError for non-unitary input and RuntimeError (carrying
-    the residual) if the schedule does not reach the identity, which
-    happens for unitaries outside the extension family.
+    Unitarity is judged at COMPARISON_TOL: an ExtensionMatrix by its
+    cached gram_residuals, a plain array by is_unitary. Raises
+    ValueError for non-unitary input and RuntimeError (carrying the
+    residual) if the schedule does not reach the identity, which happens
+    for unitaries outside the extension family.
     """
-    if isinstance(z, ExtensionMatrix):
-        z = z.Z
-    z = np.asarray(z, dtype=complex)
+    ext = z if isinstance(z, ExtensionMatrix) else None
+    z = np.asarray(z if ext is None else ext.Z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {z.shape}")
     m = z.shape[0]
     if m < 2 or m % 2 != 0:
         raise ValueError(f"mode count must be even and >= 2, got {m}")
-    if not is_unitary(z):
+    # a NaN residual must fail, so test "<=" rather than ">"
+    unitary = is_unitary(z) if ext is None else ext.gram_residuals.unitarity <= COMPARISON_TOL
+    if not unitary:
         raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
 
     a = z.copy()

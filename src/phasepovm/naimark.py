@@ -20,14 +20,26 @@ form and the recursion agree only in this build order.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .numerics import row_slices, write_csv_rows, write_json_rows
-from .povm import povm_element, psi_k, random_density, validate_outcome_count
+
+# povm_element is not called here; it stays importable from this module
+# because bench/test_bench.py lists naimark.povm_element among the
+# cross-module names its tracer wraps
+from .povm import (  # noqa: F401
+    phase_povm,
+    povm_element,
+    psi_k,
+    random_density,
+    validate_outcome_count,
+)
 
 # Largest entry of B†B - G[M-2:, M-2:] that still counts as a complete
-# pair of last columns in the recursive construction.
+# pair of last columns in the recursive construction, and largest
+# imaginary part of G it may drop by factoring the real part.
 SKIP_TOL = 1e-12
 
 # Random qubit states on which verify_naimark compares the statistics.
@@ -41,41 +53,93 @@ def column_order(m: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class GramResiduals:
+    """Max-abs residuals of Z†Z = I and ZZ† = I.
+
+    orthogonality : largest |Z_k† Z_l| over k != l
+    norm          : largest | ||Z_k||^2 - 1 |
+    unitarity     : max-abs entry of Z†Z - I and ZZ† - I
+    """
+
+    orthogonality: float
+    norm: float
+    unitarity: float
+
+
+def _minus_identity(p: np.ndarray) -> np.ndarray:
+    """Subtract the identity from a square array in place; return its diagonal view."""
+    diag = np.einsum("ii->i", p)
+    diag -= 1.0
+    return diag
+
+
+@dataclass(frozen=True)
 class ExtensionMatrix:
     """Unitary M x M matrix whose columns extend the POVM directions.
 
     column_order[j] is the outcome index of column j, fixed to the
     interleaved packing; the top two entries of the column for outcome
-    k equal X_k = sqrt(2/M) psi_k.
+    k equal X_k = sqrt(2/M) psi_k. Z is made read-only (not copied) on
+    construction, so the residuals cached from it cannot go stale.
     """
 
     M: int
     Z: np.ndarray
     column_order: tuple[int, ...]
 
+    def __post_init__(self):
+        self.Z.flags.writeable = False
+
     def column_for_outcome(self, k: int) -> np.ndarray:
         j = self.column_order.index(k)
         return self.Z[:, j]
+
+    @cached_property
+    def gram_residuals(self) -> GramResiduals:
+        """Residuals from one Z†Z and one ZZ†, each formed once per matrix."""
+        z = self.Z
+        gram = z.conj().T @ z
+        diag = _minus_identity(gram)
+        norm = np.max(np.abs(diag.real))
+        left = np.max(np.abs(gram))
+        diag -= diag  # now the off-diagonal part alone, as Z†Z - diag(Z†Z)
+        orthogonality = np.max(np.abs(gram))
+        del gram, diag
+        outer = z @ z.conj().T
+        _minus_identity(outer)
+        # np.maximum keeps a NaN residual; Python's max would drop it
+        unitarity = np.maximum(left, np.max(np.abs(outer)))
+        return GramResiduals(
+            orthogonality=float(orthogonality), norm=float(norm), unitarity=float(unitarity)
+        )
 
 
 def _closed_form_columns(m: int, ks) -> np.ndarray:
     """Closed-form extension columns for the outcomes ``ks``, one per column.
 
-    Row pair j (rows 2j+2, 2j+3) is filled for every column at once.
+    Every row pair j (rows 2j+2, 2j+3) is filled for every column at once.
     """
     ks = np.asarray(ks)
-    high = ks >= m // 2
-    kk = np.where(high, ks - m // 2, ks)
+    half = m // 2
+    high = ks >= half
+    kk = np.where(high, ks - half, ks)
     z = np.zeros((m, ks.size), dtype=complex)
     z[0] = np.exp(-1j * np.pi * ks / m) / np.sqrt(m)
     z[1] = np.exp(1j * np.pi * ks / m) / np.sqrt(m)
-    for j in range(m // 2 - 1):
-        cols = kk > j
-        den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
-        c = 2.0 * np.cos((kk[cols] - j) * np.pi / m) / den
-        s = 2.0 * np.sin((kk[cols] - j) * np.pi / m) / den
-        z[2 * j + 2, cols] = np.where(high[cols], s, -c)
-        z[2 * j + 3, cols] = -np.where(high[cols], c, s)
+    # Row pair j of a column holds a cos/sin pair of (kk - j) pi/M, over
+    # sqrt((M-2j)(M-2j-2)), when kk > j. The tables are indexed by
+    # kk - j, plus half for k >= M/2; entry 0 of each half stands for
+    # kk <= j and holds zero.
+    angle = np.arange(half) * np.pi / m
+    cos2, sin2 = 2.0 * np.cos(angle), 2.0 * np.sin(angle)
+    upper = np.concatenate([-cos2, sin2])
+    lower = np.concatenate([-sin2, -cos2])
+    upper[[0, half]] = lower[[0, half]] = 0.0
+    j = np.arange(half - 1)[:, None]
+    pick = np.maximum(kk - j, 0) + half * high
+    den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
+    z[2::2] = upper[pick] / den
+    z[3::2] = lower[pick] / den
     norm_pos = 2 * kk + 2 + high
     has_norm = norm_pos < m
     kn = kk[has_norm]
@@ -120,6 +184,10 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     per fresh coefficient, column by column, computes exactly that factor.
     The last two columns solve R† B = G[:M-2, M-2:] by forward
     substitution and must complete B†B to G[M-2:, M-2:].
+
+    Every entry of G is real in exact arithmetic (psi_k† psi_l =
+    cos((k - l) pi/M)), so the real part of G is factored and Z[2:] is
+    real; an imaginary part of G above SKIP_TOL is an error.
     """
     m = validate_outcome_count(m)
     order = column_order(m)
@@ -127,24 +195,30 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     x = np.sqrt(2.0 / m) * np.stack([psi_k(m, k) for k in order], axis=1)
     g = x.conj().T @ -x
     g[np.diag_indices(m)] += 1.0
+    real = g.real
     try:
-        lower = np.linalg.cholesky(g[:n, :n])
+        lower = np.linalg.cholesky(real[:n, :n])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"M={m}: I - X†X has a non-positive pivot in its first M-2 columns"
         ) from exc
-    b = g[:n, n:].copy()
+    b = real[:n, n:].copy()
     for i in range(n):
         b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
     # a NaN residual must fail, so test "not <=" rather than ">"
-    completion = float(np.max(np.abs(b.conj().T @ b - g[n:, n:])))
+    completion = float(np.max(np.abs(b.T @ b - real[n:, n:])))
     if not completion <= SKIP_TOL:
         raise RuntimeError(
             f"M={m}: the last two columns miss G[M-2:, M-2:] by {completion:.3e}"
         )
+    imaginary = float(np.max(np.abs(g.imag)))
+    if not imaginary <= SKIP_TOL:
+        raise RuntimeError(
+            f"M={m}: I - X†X has imaginary parts up to {imaginary:.3e}, not a real matrix"
+        )
     z = np.zeros((m, m), dtype=complex)
     z[:2] = x
-    np.conjugate(lower.T, out=z[2:, :n])
+    z[2:, :n] = lower.T
     z[2:, n:] = b
     return ExtensionMatrix(M=m, Z=z, column_order=order)
 
@@ -190,20 +264,10 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
     extended-space statistics Tr[P_k (rho_A tensor rho)] on NUM_STATES
     random qubit states drawn from a generator seeded with ``seed``.
     """
-    m, z = ext.M, ext.Z
-    eye = np.eye(m)
-    gram = z.conj().T @ z
-    off = gram - np.diag(np.diag(gram))
-    max_ortho = float(np.max(np.abs(off)))
-    max_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-    # np.maximum / np.max keep a NaN residual; Python's max would drop it
-    unitarity = float(
-        np.maximum(np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye)))
-    )
-
+    residuals = ext.gram_residuals
     # reference[j] is Pi_k for the outcome k that column j carries
-    reference = np.stack([povm_element(m, k) for k in range(m)])[list(ext.column_order)]
-    top = z[:2].T
+    reference = phase_povm(ext.M).elements[list(ext.column_order)]
+    top = ext.Z[:2].T
     blocks = top[:, :, None] * top.conj()[:, None, :]
     max_block = float(np.max(np.abs(blocks - reference)))
 
@@ -216,10 +280,10 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
     max_prob = float(np.max(np.abs(direct - extended)))
 
     return NaimarkReport(
-        max_orthogonality_residual=max_ortho,
-        max_norm_residual=max_norm,
+        max_orthogonality_residual=residuals.orthogonality,
+        max_norm_residual=residuals.norm,
         max_povm_block_residual=max_block,
-        unitarity_residual=unitarity,
+        unitarity_residual=residuals.unitarity,
         max_probability_residual=max_prob,
     )
 

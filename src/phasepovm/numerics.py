@@ -67,12 +67,20 @@ def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:
     """Apply [[cos, sin], [-sin, cos]] of ``angle`` to rows i, j in place.
 
     The one plane-rotation kernel (netlist evaluation, elimination, optical
-    elements); O(row length) instead of an M x M product.
+    elements); O(row length) instead of an M x M product. A 1-D vector
+    works too: its entries are the rows. Both rows are updated in place
+    from one saved copy of row i and give the bits of c ri + s rj and
+    -s ri + c rj. Each product keeps the scalar first, because numpy's
+    complex multiply can round an underflowing product to the other
+    signed zero when the operands are swapped.
     """
     c, s = np.cos(angle), np.sin(angle)
-    ri, rj = arr[i].copy(), arr[j].copy()
-    arr[i] = c * ri + s * rj
-    arr[j] = -s * ri + c * rj
+    ri, rj = arr[i, ...], arr[j, ...]  # views, 0-d for a 1-D arr
+    saved = ri.copy()
+    np.multiply(c, ri, out=ri)
+    ri += s * rj
+    np.multiply(c, rj, out=rj)
+    rj += -s * saved
 
 
 def partial_trace_ancilla(p) -> np.ndarray:

@@ -51,7 +51,6 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     # only extend, simulate and sweep have a CSV form; JSON stays accepted
     for args in (
-        ("povm", "--M", "4"),
         ("verify", "--M", "4"),
         ("compare", "--M", "4", "--phi", "1"),
     ):
@@ -64,6 +63,15 @@ def test_usage_errors_exit_1(capsys):
     assert "at most 4096" in capsys.readouterr().err
     assert run("povm", "--M", "65536") == 1
     assert "at most 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_povm_takes_no_format(capsys, fmt):
+    # povm writes text only, so any --format is a usage error
+    assert run("povm", "--M", "4", "--format", fmt) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format" in captured.err
 
 
 def test_negative_tolerance_is_a_usage_error(capsys):
@@ -322,10 +330,11 @@ def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
 
 
 def test_compile_verify_fails_on_a_nan_round_trip(monkeypatch, capsys):
-    def nan_evaluate(net):
-        return np.full((net.M, net.M), np.nan)
+    def nan_apply(net, a):
+        a[...] = np.nan
+        return a
 
-    monkeypatch.setattr(cli, "evaluate_netlist", nan_evaluate)
+    monkeypatch.setattr(cli, "apply_netlist", nan_apply)
     assert run("compile", "--M", "8", "--verify") == 2
     assert "round-trip residual |netlist * Z - I|: nan" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Tests for the Givens-rotation factorization of the extension unitary."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from phasepovm.compiler import (
     GivensRotation,
     Netlist,
     PhaseShift,
+    apply_netlist,
     canonical_angle,
     decompose_by_elimination,
     decompose_closed,
@@ -297,6 +300,41 @@ def test_evaluate_netlist_equals_product_of_dense_embeddings(net):
             d[e.u - 1, e.u - 1] = np.exp(-1j * e.phi)
         expected = d @ expected
     np.testing.assert_allclose(evaluate_netlist(net), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_netlists(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_apply_netlist_equals_the_transfer_matrix_product(net, extra, seed):
+    # M rows and M + extra columns, applied in place
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(net.M, net.M + extra)) + 1j * rng.normal(size=(net.M, net.M + extra))
+    expected = evaluate_netlist(net) @ a
+    assert apply_netlist(net, a) is a
+    np.testing.assert_allclose(a, expected, rtol=0, atol=1e-12)
+    eye = apply_netlist(net, np.eye(net.M, dtype=complex))
+    assert np.array_equal(evaluate_netlist(net).view(np.int64), eye.view(np.int64))
+
+
+def test_apply_netlist_needs_a_complex_array_with_m_rows():
+    net = decompose_closed(4)
+    for bad in (np.eye(4), np.eye(2, dtype=complex), np.zeros((8, 4), dtype=complex)):
+        with pytest.raises(ValueError, match="complex array with 4 rows"):
+            apply_netlist(net, bad)
+    v = np.zeros(4, dtype=complex)
+    v[0] = 1.0
+    np.testing.assert_allclose(apply_netlist(net, v), evaluate_netlist(net)[:, 0], atol=1e-15)
+
+
+def test_elimination_rejects_a_broken_extension_matrix():
+    ext = build_extension_closed(8)
+    z = ext.Z.copy()
+    z[:, 3] *= 1.5
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose_by_elimination(dataclasses.replace(ext, Z=z))
+    z = ext.Z.copy()  # the broken matrix above is read-only now
+    z[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose_by_elimination(dataclasses.replace(ext, Z=z))
 
 
 @pytest.fixture(scope="module")

@@ -123,6 +123,32 @@ def _closed_form_column_loop(m, k):
     return z
 
 
+def _closed_form_columns_loop(m, ks):
+    """The closed form filled one row pair at a time (bit-exact reference)."""
+    ks = np.asarray(ks)
+    high = ks >= m // 2
+    kk = np.where(high, ks - m // 2, ks)
+    z = np.zeros((m, ks.size), dtype=complex)
+    z[0] = np.exp(-1j * np.pi * ks / m) / np.sqrt(m)
+    z[1] = np.exp(1j * np.pi * ks / m) / np.sqrt(m)
+    for j in range(m // 2 - 1):
+        cols = kk > j
+        den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
+        c = 2.0 * np.cos((kk[cols] - j) * np.pi / m) / den
+        s = 2.0 * np.sin((kk[cols] - j) * np.pi / m) / den
+        z[2 * j + 2, cols] = np.where(high[cols], s, -c)
+        z[2 * j + 3, cols] = -np.where(high[cols], c, s)
+    norm_pos = 2 * kk + 2 + high
+    has_norm = norm_pos < m
+    kn = kk[has_norm]
+    z[norm_pos[has_norm], has_norm] = np.sqrt((m - 2 * kn - 2) / (m - 2 * kn))
+    return z
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _recursive_loop(m):
     """Z built one coefficient at a time from the constraints (loop reference).
 
@@ -179,6 +205,13 @@ def test_closed_form_matches_the_per_column_loop_exactly(m):
         assert np.array_equal(closed_form_column(m, k), _closed_form_column_loop(m, k))
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 64, 256, 1024])
+def test_closed_form_matches_the_row_pair_loop_bit_for_bit(m):
+    assert _same_bits(build_extension_closed(m).Z, _closed_form_columns_loop(m, column_order(m)))
+    for k in (0, 1, m // 2 - 1, m // 2, m - 1):
+        assert _same_bits(closed_form_column(m, k), _closed_form_columns_loop(m, [k])[:, 0])
+
+
 def test_closed_form_column_anchor_entries():
     col0 = closed_form_column(8, 0)
     assert abs(col0[2] - np.sqrt(6.0 / 8.0)) < 1e-15
@@ -231,6 +264,49 @@ def test_recursive_fails_when_the_top_rows_are_not_orthonormal(
     with pytest.raises(RuntimeError, match=message) as info:
         build_extension_recursive(8)
     assert "M=8" in str(info.value)
+
+
+def test_recursive_rejects_a_non_real_gram_matrix(monkeypatch):
+    # a small phase per column keeps Re G complete to 1e-15 but makes
+    # Im G about 1e-8; the real factor would drop that part silently
+    phases = {k: np.exp(1e-8j * k) for k in range(8)}
+    monkeypatch.setattr(naimark, "psi_k", lambda m, k: phases[k] * psi_k(m, k))
+    with pytest.raises(RuntimeError, match=r"M=8: I - X†X has imaginary parts up to 1\.6\d+e-08"):
+        build_extension_recursive(8)
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_recursive_extension_is_real_below_the_top_rows(m):
+    z = build_extension_recursive(m).Z
+    assert np.all(z[2:].imag == 0.0)
+
+
+@pytest.mark.parametrize("build", [build_extension_closed, build_extension_recursive])
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_gram_residuals_equal_a_fresh_computation(build, m):
+    ext = build(m)
+    z, eye = ext.Z, np.eye(m)
+    gram = z.conj().T @ z
+    cached = ext.gram_residuals
+    assert ext.gram_residuals is cached  # formed once per matrix
+    assert cached.orthogonality == np.max(np.abs(gram - np.diag(np.diag(gram))))
+    assert cached.norm == np.max(np.abs(np.diag(gram).real - 1.0))
+    assert cached.unitarity == max(
+        np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye))
+    )
+    report = verify_naimark(ext, seed=SEED)
+    assert report.max_orthogonality_residual == cached.orthogonality
+    assert report.unitarity_residual == cached.unitarity
+
+
+def test_extension_matrix_is_read_only_and_not_copied():
+    z = build_extension_closed(8).Z.copy()
+    ext = ExtensionMatrix(M=8, Z=z, column_order=column_order(8))
+    assert ext.Z is z
+    with pytest.raises(ValueError, match="read-only"):
+        ext.Z[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ext.column_for_outcome(3)[0] = 1.0
 
 
 @pytest.mark.parametrize("m", POWERS)

@@ -121,6 +121,43 @@ def test_rotate_rows_applies_the_plane_rotation_convention():
     np.testing.assert_allclose(v, [2.0j, -1.0], atol=1e-15)
 
 
+def _rotate_rows_two_copies(arr, i, j, angle):
+    """The two-copy form of the plane rotation (bit-exact reference)."""
+    c, s = np.cos(angle), np.sin(angle)
+    ri, rj = arr[i].copy(), arr[j].copy()
+    arr[i] = c * ri + s * rj
+    arr[j] = -s * ri + c * rj
+
+
+# finite parts, signed zeros among them; NaN bit patterns are not compared
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300]
+_ENTRIES = np.array([complex(re, im) for re in _PARTS for im in _PARTS])
+# a subnormal part, whose products underflow to a signed zero
+_SUBNORMAL = np.array([complex(-5e-324, 1.0), complex(0.5, -5e-324), complex(-0.0, 5e-324)])
+
+
+@pytest.mark.parametrize("angle", [0.0, -0.0, 0.3, -0.3, np.pi / 2, np.pi, 3.5342917352885173])
+def test_rotate_rows_equals_the_two_copy_form_bit_for_bit(angle):
+    # every pair of entries meets in rows 0 and 2; row 1 must stay as it is
+    first, second = np.meshgrid(_ENTRIES, _ENTRIES)
+    with_subnormals = np.concatenate([_ENTRIES, _SUBNORMAL])
+    rows, cols = np.meshgrid(with_subnormals, with_subnormals)
+    a = np.stack([rows.ravel(), np.full(rows.size, 7.0 + 0j), cols.ravel()])
+    expected = a.copy()
+    _rotate_rows_two_copies(expected, 0, 2, angle)
+    rotate_rows(a, 0, 2, angle)
+    assert np.array_equal(a.view(np.int64), expected.view(np.int64))
+    # a 1-D amplitude vector, whose entries are the rows; its reference
+    # runs numpy's scalar arithmetic, which may round an underflowing
+    # product to the other signed zero, so no subnormals here
+    for x, y in zip(first.ravel()[::5], second.ravel()[::5]):
+        v = np.array([x, 7.0, y])
+        w = v.copy()
+        _rotate_rows_two_copies(w, 2, 0, angle)
+        rotate_rows(v, 2, 0, angle)
+        assert np.array_equal(v.view(np.int64), w.view(np.int64))
+
+
 def test_partial_trace_ancilla_extracts_first_qubit_block():
     rng = np.random.default_rng(SEED)
     p = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
