@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +37,7 @@ from .compiler import (
     decompose_by_elimination,
     decompose_closed,
     evaluate_netlist,
+    netlist_from_json_dict,
     netlist_to_json_dict,
     netlists_equal,
 )
@@ -243,8 +246,11 @@ def cmd_povm(cfg: RunConfig) -> int:
 
 
 def _extension_paths(cfg: RunConfig) -> tuple[Path, Path]:
+    """The closed and recursive files; --out names their stem, not a directory."""
     ext = "json" if cfg.output_format == "json" else "csv"
     base = Path(cfg.out) if cfg.out is not None else Path(f"extension_M{cfg.M}.{ext}")
+    if cfg.out is not None and base.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(cfg.out))
     stem, suffix = base.stem, base.suffix or f".{ext}"
     return (
         base.with_name(f"{stem}_closed{suffix}"),
@@ -253,12 +259,13 @@ def _extension_paths(cfg: RunConfig) -> tuple[Path, Path]:
 
 
 def cmd_extend(cfg: RunConfig) -> int:
+    # refuses a directory before anything is built
+    path_closed, path_recursive = _extension_paths(cfg)
     closed = build_extension_closed(cfg.M)
     recursive = build_extension_recursive(cfg.M)
     diff = _max_gap(closed.Z, recursive.Z)
     report = verify_naimark(closed, seed=cfg.seed)
 
-    path_closed, path_recursive = _extension_paths(cfg)
     write = write_extension_json if cfg.output_format == "json" else write_extension_csv
     for ext, path in ((closed, path_closed), (recursive, path_recursive)):
         with path.open("w", encoding="utf-8") as fh:
@@ -278,10 +285,13 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 def cmd_compile(cfg: RunConfig) -> int:
     net = decompose_closed(cfg.M)
-    _emit(_json_text(netlist_to_json_dict(net)), cfg.out)
+    text = _json_text(netlist_to_json_dict(net))
+    _emit(text, cfg.out)
     _note(f"netlist for M = {cfg.M}: {len(net.elements)} elements")
     if cfg.verify:
-        round_trip = apply_netlist(net, build_extension_closed(cfg.M).Z.copy())
+        # the check covers the written bytes, parsed back, not the object
+        written = netlist_from_json_dict(json.loads(text))
+        round_trip = apply_netlist(written, build_extension_closed(cfg.M).Z.copy())
         residual = _max_gap(round_trip, np.eye(cfg.M))
         _note(f"round-trip residual |netlist * Z - I|: {residual:.3e}")
         if not residual <= cfg.tolerance:

@@ -93,24 +93,6 @@ def _apply_element(a: np.ndarray, e: NetlistElement) -> None:
         raise ValueError(f"element {e!r} out of range for M={len(a)}")
 
 
-def givens_matrix(m: int, g: GivensRotation) -> np.ndarray:
-    """Embed a plane rotation into an M x M identity.
-
-    Rows and columns u, v carry [[cos w, sin w], [-sin w, cos w]]; the
-    result is real orthogonal with determinant +1.
-    """
-    a = np.eye(m, dtype=complex)
-    _apply_element(a, g)
-    return a
-
-
-def phase_matrix(m: int, s: PhaseShift) -> np.ndarray:
-    """Embed a single-mode phase shift into an M x M identity."""
-    a = np.eye(m, dtype=complex)
-    _apply_element(a, s)
-    return a
-
-
 def triplet_angle(m: int, k: int) -> float:
     """Mixing angle of block k: arctan sqrt((M - 2 - 2k)/2)."""
     return float(np.arctan(np.sqrt((m - 2 - 2 * k) / 2.0)))
@@ -249,7 +231,7 @@ def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
 
 
 def netlist_to_json_dict(n: Netlist) -> dict:
-    """The interchange schema consumed by the optics simulator and CLI."""
+    """The interchange schema that ``compile`` writes and ``netlist_from_json_dict`` reads."""
     elements = []
     for e in n.elements:
         if isinstance(e, GivensRotation):
@@ -268,11 +250,16 @@ _JSON_ELEMENTS = {
 }
 
 
-def _json_field(obj: dict, key: str, kind: type, where: str) -> int | float:
-    """obj[key] as an int (no bool), or as a real that fits a finite float64 (no NaN)."""
+def _json_field(obj: dict, key: str, kind: type, index: int | None = None) -> int | float:
+    """obj[key] as an int (no bool), or as a real that fits a finite float64 (no NaN).
+
+    ``index`` is the element's position, or None for the netlist itself;
+    the error message names it, and is built only on failure.
+    """
     value = obj.get(key)
     ok = isinstance(value, Integral if kind is int else Real) and not isinstance(value, bool)
     if not ok or (kind is float and not abs(value) <= sys.float_info.max):
+        where = "netlist" if index is None else f"netlist element {index} {obj!r}"
         raise ValueError(f"{where}: needs a finite {kind.__name__} {key!r}, got {value!r}")
     return kind(value)
 
@@ -283,9 +270,10 @@ def netlist_from_json_dict(d: dict) -> Netlist:
         raise ValueError("netlist must be an object with an 'elements' list")
     elements: list[NetlistElement] = []
     for i, entry in enumerate(d["elements"]):
-        where = f"netlist element {i} {entry!r}"
         if not isinstance(entry, dict) or entry.get("kind") not in _JSON_ELEMENTS:
-            raise ValueError(f"{where}: not an object of kind 'givens' or 'phase'")
+            raise ValueError(
+                f"netlist element {i} {entry!r}: not an object of kind 'givens' or 'phase'"
+            )
         cls, fields = _JSON_ELEMENTS[entry["kind"]]
-        elements.append(cls(*(_json_field(entry, k, t, where) for k, t in fields)))
-    return Netlist(M=_json_field(d, "M", int, "netlist"), elements=tuple(elements))
+        elements.append(cls(*(_json_field(entry, k, t, i) for k, t in fields)))
+    return Netlist(M=_json_field(d, "M", int), elements=tuple(elements))

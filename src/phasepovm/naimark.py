@@ -117,6 +117,14 @@ class ExtensionMatrix:
 def _closed_form_columns(m: int, ks) -> np.ndarray:
     """Closed-form extension columns for the outcomes ``ks``, one per column.
 
+    For k < M/2 the column is the pair (e^{-i pi k/M}, e^{i pi k/M})/sqrt(M),
+    then cosine/sine pairs -2cos((k-j)pi/M), -2sin((k-j)pi/M) scaled by
+    1/sqrt((M-2j)(M-2j-2)) for j = 0..k-1, then the norm-completing
+    entry sqrt((M-2k-2)/(M-2k)), then zeros. For k >= M/2 the pairs are
+    sine/cosine swapped with the signs (+, -) and the norm entry sits
+    one position later, after an explicit zero. Entries that the
+    pattern would place beyond position M are zero and are truncated.
+
     Every row pair j (rows 2j+2, 2j+3) is filled for every column at once.
     """
     ks = np.asarray(ks)
@@ -145,24 +153,6 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
     kn = kk[has_norm]
     z[norm_pos[has_norm], has_norm] = np.sqrt((m - 2 * kn - 2) / (m - 2 * kn))
     return z
-
-
-def closed_form_column(m: int, k: int) -> np.ndarray:
-    """Extension column Z_k from the closed form.
-
-    For k < M/2 the column is the pair (e^{-i pi k/M}, e^{i pi k/M})/sqrt(M),
-    then cosine/sine pairs -2cos((k-j)pi/M), -2sin((k-j)pi/M) scaled by
-    1/sqrt((M-2j)(M-2j-2)) for j = 0..k-1, then the norm-completing
-    entry sqrt((M-2k-2)/(M-2k)), then zeros. For k >= M/2 the pairs are
-    sine/cosine swapped with the signs (+, -) and the norm entry sits
-    one position later, after an explicit zero. Entries that the
-    pattern would place beyond position M are zero and are truncated.
-    """
-    m = validate_outcome_count(m)
-    k = int(k)
-    if not 0 <= k < m:
-        raise ValueError(f"outcome index k={k} out of range for M={m}")
-    return _closed_form_columns(m, [k])[:, 0]
 
 
 def build_extension_closed(m: int) -> ExtensionMatrix:

@@ -9,7 +9,9 @@ multiple threads.
 The export writers live here too: one float formatter, and CSV and JSON
 writers that stream a table to an open text file one block of rows at a
 time, with the same bytes as a per-entry ``repr`` join and as
-``json.dumps(payload, indent=2) + "\\n"``.
+``json.dumps(payload, indent=2) + "\\n"``. Each writer carries the
+formatter's table of one block into the next, so a bit pattern that
+recurs in consecutive blocks is formatted once.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {m.shape}")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. An involution: adjoint(adjoint(a)) == a."""
-    return _as_matrix(a).conj().T.copy()
 
 
 def is_unitary(a) -> bool:
@@ -117,16 +114,27 @@ def row_slices(n_rows: int, row_len: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """repr(float(x)) of every float64 entry, as an object array of that shape.
+def _float_reprs(values: np.ndarray, previous=None):
+    """repr(float(x)) of every float64 entry, and the table to hand on.
 
-    Each distinct bit pattern is formatted once: np.unique on the int64
-    view (which keeps -0.0 apart from 0.0), then indexed back.
+    Returns the strings as an object array of ``values``' shape, and the
+    table ``(bits, strings)`` of this block's distinct bit patterns (the
+    sorted int64 view, which keeps -0.0 apart from 0.0) and their repr.
+    Each pattern is formatted once: those found in ``previous``, the
+    table of the block before, reuse its string; only the rest go
+    through repr.
     """
     a = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].reshape(a.shape)
+    strings = np.empty(bits.size, dtype=object)
+    miss = np.ones(bits.size, dtype=bool)
+    if previous is not None and previous[0].size:
+        old_bits, old_strings = previous
+        at = np.searchsorted(old_bits, bits).clip(max=old_bits.size - 1)
+        miss = old_bits[at] != bits
+        strings[~miss] = old_strings[at[~miss]]
+    strings[miss] = [repr(v) for v in bits[miss].view(np.float64).tolist()]
+    return strings[inverse].reshape(a.shape), (bits, strings)
 
 
 def _row_texts(text: np.ndarray, pieces: list[str]):
@@ -144,9 +152,10 @@ def write_csv_rows(fh, header: str, blocks) -> None:
     A line is the ``repr`` of its entries joined by commas.
     """
     fh.write(header + "\n")
+    table = None
     for block in blocks:
-        pieces = [""] + [","] * (block.shape[1] - 1) + ["\n"]
-        fh.writelines(_row_texts(_float_reprs(block), pieces))
+        text, table = _float_reprs(block, table)
+        fh.writelines(",".join(row) + "\n" for row in text.tolist())
 
 
 def write_json_rows(fh, fields: dict, key: str, row, blocks) -> None:
@@ -160,12 +169,13 @@ def write_json_rows(fh, fields: dict, key: str, row, blocks) -> None:
     """
     head = json.dumps(fields, indent=2)[:-2]  # drop the closing "\n}"
     fh.write(f"{head},\n  {json.dumps(key)}: [\n")
-    pieces, sep = None, ""
+    pieces, sep, table = None, "", None
     for block in blocks:
         if pieces is None:
             template = json.dumps(row([_PLACEHOLDER] * block.shape[1]), indent=2)
             pieces = textwrap.indent(template, "    ").split(json.dumps(_PLACEHOLDER))
-        text = _float_reprs(block)
+        text, table = _float_reprs(block, table)
+        # json's spelling goes into this block's entries, never the table
         bad = ~np.isfinite(block)
         text[bad] = [_JSON_NONFINITE[t] for t in text[bad]]
         for line in _row_texts(text, pieces):

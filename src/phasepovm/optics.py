@@ -141,16 +141,6 @@ class Detector:
 OpticalElement = PolarizationRotation | WaveplatePhase | PPBS | PBS | Detector
 
 
-def input_state(phi: float, paths: int) -> ModeAmplitudes:
-    """Single photon on path 1 carrying the phase: (1, e^{i phi})/sqrt(2)."""
-    if paths < 1:
-        raise ValueError(f"need at least one path, got {paths}")
-    a = np.zeros(2 * paths, dtype=complex)
-    a[0] = 1.0 / np.sqrt(2.0)
-    a[1] = np.exp(1j * phi) / np.sqrt(2.0)
-    return ModeAmplitudes(a)
-
-
 def _apply_to_rows(arr: np.ndarray, e: OpticalElement, paths: int) -> None:
     """Apply one element in place to an array of amplitude rows."""
     if isinstance(e, PolarizationRotation):
@@ -240,26 +230,6 @@ class Scheme:
         v = t[rows]
         v.flags.writeable = False
         return v
-
-
-def modular_block_isometry(m: int, k: int) -> np.ndarray:
-    """Effective 4x2 map of block k: input pair to (detectors, pass-through).
-
-    Rows 1-2 are the detector pair (beam splitter transmission cos
-    theta_k), rows 3-4 the pass-through pair (reflection followed by the
-    polarization rotation pi + pi/M); the two columns are orthonormal.
-    """
-    m = validate_outcome_count(m)
-    if not 0 <= k <= m // 2 - 2:
-        raise ValueError(f"block index k={k} out of range for M={m}")
-    theta = triplet_angle(m, k)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.pi + np.pi / m
-    cr, sr = np.cos(rot), np.sin(rot)
-    # reflection into the fresh path carries -s; the rotation then mixes
-    # the pass-through pair
-    lower = np.array([[cr, sr], [-sr, cr]]) @ np.array([[-s, 0.0], [0.0, -s]])
-    return np.vstack([np.array([[c, 0.0], [0.0, c]]), lower]).astype(complex)
 
 
 def build_direct_scheme(m: int) -> Scheme:

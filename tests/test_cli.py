@@ -104,6 +104,21 @@ def test_extend_csv_format(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extend_refuses_a_directory_before_building(tmp_path, monkeypatch, capsys):
+    def unreachable(m):
+        raise AssertionError("built an extension before refusing --out")
+
+    monkeypatch.setattr(cli, "build_extension_closed", unreachable)
+    target = tmp_path / "some_dir"
+    target.mkdir()
+    for fmt in ("json", "csv"):
+        for out in (str(target), f"{target}/"):
+            assert run("extend", "--M", "8", "--format", fmt, "--out", out) == 1
+            assert "Is a directory" in capsys.readouterr().err
+    names = [p.name for p in tmp_path.rglob("*")]
+    assert not [n for n in names if "_closed." in n or "_recursive." in n]
+
+
 def test_extend_rejects_bad_m(capsys):
     assert run("extend", "--M", "6") == 1
     capsys.readouterr()
@@ -219,33 +234,35 @@ def test_sweep_rows_sum_to_one(tmp_path, capsys):
 
 
 def test_sweep_files_equal_the_reference_encodings(tmp_path, capsys):
-    # reference: one analytic_phase_distribution call per phase
-    phis = [2.0 * np.pi * i / 90 for i in range(90)]
-    rows = [analytic_phase_distribution(8, phi).probabilities for phi in phis]
-    payload = {
-        "M": 8,
-        "steps": 90,
-        "guessing_probability": guessing_probability(8),
-        "rows": [
-            {"phi": phi, "probabilities": [float(p) for p in probs]}
+    # reference: one analytic_phase_distribution call per phase; (256, 720)
+    # spans three blocks, so the carried repr table is hit and missed
+    for m, steps in ((8, 90), (256, 720)):
+        phis = [2.0 * np.pi * i / steps for i in range(steps)]
+        rows = [analytic_phase_distribution(m, phi).probabilities for phi in phis]
+        payload = {
+            "M": m,
+            "steps": steps,
+            "guessing_probability": guessing_probability(m),
+            "rows": [
+                {"phi": phi, "probabilities": [float(p) for p in probs]}
+                for phi, probs in zip(phis, rows)
+            ],
+        }
+        lines = ["phi," + ",".join(f"p_{k}" for k in range(m))] + [
+            f"{phi!r}," + ",".join(repr(float(p)) for p in probs)
             for phi, probs in zip(phis, rows)
-        ],
-    }
-    lines = ["phi," + ",".join(f"p_{k}" for k in range(8))] + [
-        f"{phi!r}," + ",".join(repr(float(p)) for p in probs)
-        for phi, probs in zip(phis, rows)
-    ]
-    expected = {
-        "json": json.dumps(payload, indent=2) + "\n",
-        "csv": "\n".join(lines) + "\n",
-    }
-    for fmt, text in expected.items():
-        out = tmp_path / f"s.{fmt}"
-        args = ("sweep", "--M", "8", "--steps", "90", "--format", fmt)
-        assert run(*args, "--out", str(out)) == 0
-        assert out.read_text(encoding="utf-8") == text
-        assert run(*args) == 0
-        assert capsys.readouterr().out == text
+        ]
+        expected = {
+            "json": json.dumps(payload, indent=2) + "\n",
+            "csv": "\n".join(lines) + "\n",
+        }
+        for fmt, text in expected.items():
+            out = tmp_path / f"s.{fmt}"
+            args = ("sweep", "--M", str(m), "--steps", str(steps), "--format", fmt)
+            assert run(*args, "--out", str(out)) == 0
+            assert out.read_text(encoding="utf-8") == text
+            assert run(*args) == 0
+            assert capsys.readouterr().out == text
 
 
 def test_sweep_memory_does_not_grow_with_steps(monkeypatch, capsys):
@@ -337,6 +354,20 @@ def test_compile_verify_fails_on_a_nan_round_trip(monkeypatch, capsys):
     monkeypatch.setattr(cli, "apply_netlist", nan_apply)
     assert run("compile", "--M", "8", "--verify") == 2
     assert "round-trip residual |netlist * Z - I|: nan" in capsys.readouterr().err
+
+
+def test_compile_verify_checks_the_written_netlist(monkeypatch, capsys):
+    # --verify parses and applies the emitted JSON, not the in-memory netlist
+    to_json = cli.netlist_to_json_dict
+
+    def shifted(net):
+        d = to_json(net)
+        d["elements"][2]["omega"] += 1e-3
+        return d
+
+    monkeypatch.setattr(cli, "netlist_to_json_dict", shifted)
+    assert run("compile", "--M", "8", "--verify") == 2
+    assert '"omega"' in capsys.readouterr().out
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -15,7 +15,6 @@ from phasepovm.naimark import (
     ExtensionMatrix,
     build_extension_closed,
     build_extension_recursive,
-    closed_form_column,
     column_order,
     projector,
     verify_naimark,
@@ -27,6 +26,11 @@ from phasepovm.povm import povm_element, psi_k, random_density
 
 SEED = 20240811
 POWERS = [2, 4, 8, 16, 32, 64]
+
+
+def closed_form_column(m, k):
+    """Reference: the closed-form extension column of outcome k."""
+    return build_extension_closed(m).column_for_outcome(k).copy()
 
 
 def embed_with_ancilla(m, rho):

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phasepovm.compiler import decompose_closed, evaluate_netlist
+from phasepovm.compiler import decompose_closed, evaluate_netlist, triplet_angle
 from phasepovm.naimark import build_extension_closed
-from phasepovm.numerics import adjoint, is_unitary
+from phasepovm.numerics import is_unitary
 from phasepovm.optics import (
     Detector,
     EXIT_SLOT_BS_ANGLE,
@@ -23,9 +23,7 @@ from phasepovm.optics import (
     build_folded_schedule,
     distribution_to_csv,
     distribution_to_json_dict,
-    input_state,
     mode_index,
-    modular_block_isometry,
     scheme_transfer_matrix,
     simulate_direct,
     simulate_folded,
@@ -40,6 +38,7 @@ from phasepovm.povm import (
     phase_povm,
     pure_phase_state,
     random_density,
+    validate_outcome_count,
 )
 
 SEED = 20240811
@@ -110,6 +109,14 @@ def test_mode_amplitudes_validation():
     ModeAmplitudes(np.array([0.5, 0.0]))
 
 
+def input_state(phi, paths):
+    """Reference: a single photon on path 1 carrying the phase, (1, e^{i phi})/sqrt(2)."""
+    a = np.zeros(2 * paths, dtype=complex)
+    a[0] = 1.0 / np.sqrt(2.0)
+    a[1] = np.exp(1j * phi) / np.sqrt(2.0)
+    return ModeAmplitudes(a)
+
+
 def test_input_state_examples():
     s = input_state(0.0, 2)
     np.testing.assert_allclose(
@@ -118,6 +125,10 @@ def test_input_state_examples():
     s = input_state(np.pi, 1)
     np.testing.assert_allclose(s.amplitudes, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-15
+    # the photon's polarization pair is the qubit state the POVM reads
+    for phi in (0.0, 1.1, np.pi):
+        pair = input_state(phi, 3).amplitudes[:2]
+        np.testing.assert_allclose(np.outer(pair, pair.conj()), pure_phase_state(phi), atol=1e-15)
 
 
 def test_waveplate_applies_conjugate_phase_to_v():
@@ -194,6 +205,26 @@ def test_detector_is_a_readout_marker_not_a_transformation():
     np.testing.assert_allclose(out.amplitudes, s.amplitudes)
 
 
+def modular_block_isometry(m, k):
+    """Reference: effective 4x2 map of block k, input pair to (detectors, pass-through).
+
+    Rows 1-2 are the detector pair (beam splitter transmission cos
+    theta_k), rows 3-4 the pass-through pair (reflection followed by the
+    polarization rotation pi + pi/M); the two columns are orthonormal.
+    """
+    m = validate_outcome_count(m)
+    if not 0 <= k <= m // 2 - 2:
+        raise ValueError(f"block index k={k} out of range for M={m}")
+    theta = triplet_angle(m, k)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.pi + np.pi / m
+    cr, sr = np.cos(rot), np.sin(rot)
+    # reflection into the fresh path carries -s; the rotation then mixes
+    # the pass-through pair
+    lower = np.array([[cr, sr], [-sr, cr]]) @ np.array([[-s, 0.0], [0.0, -s]])
+    return np.vstack([np.array([[c, 0.0], [0.0, c]]), lower]).astype(complex)
+
+
 @pytest.mark.parametrize("m", [4, 8, 16, 32])
 def test_modular_block_isometry_columns_orthonormal(m):
     for k in range(m // 2 - 1):
@@ -221,7 +252,7 @@ def test_block_cascade_reproduces_the_extension_adjoint(m):
         carry = out4[2:]
         row += 2
     stack[row : row + 2] = carry
-    zdag = adjoint(build_extension_closed(m).Z)
+    zdag = build_extension_closed(m).Z.conj().T
     np.testing.assert_allclose(stack, zdag[:, :2], atol=1e-10)
 
 
