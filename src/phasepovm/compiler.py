@@ -25,7 +25,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .naimark import ExtensionMatrix
-from .numerics import COMPARISON_TOL, is_unitary, rotate_rows
+from .numerics import COMPARISON_TOL, gram_residuals, rotate_rows
 from .povm import validate_outcome_count
 
 # Entries at or below this magnitude count as already eliminated and
@@ -149,8 +149,8 @@ def decompose_by_elimination(z) -> Netlist:
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
 
-    Unitarity is judged at COMPARISON_TOL: an ExtensionMatrix by its
-    cached gram_residuals, a plain array by is_unitary. Raises
+    Unitarity is judged at COMPARISON_TOL on numerics.gram_residuals, the
+    copy an ExtensionMatrix caches or one formed from a plain array. Raises
     ValueError for non-unitary input and RuntimeError (carrying the
     residual) if the schedule does not reach the identity, which happens
     for unitaries outside the extension family.
@@ -163,8 +163,8 @@ def decompose_by_elimination(z) -> Netlist:
     if m < 2 or m % 2 != 0:
         raise ValueError(f"mode count must be even and >= 2, got {m}")
     # a NaN residual must fail, so test "<=" rather than ">"
-    unitary = is_unitary(z) if ext is None else ext.gram_residuals.unitarity <= COMPARISON_TOL
-    if not unitary:
+    residuals = gram_residuals(z) if ext is None else ext.gram_residuals
+    if not residuals["unitarity"] <= COMPARISON_TOL:
         raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
 
     a = z.copy()

@@ -19,12 +19,13 @@ form and the recursion agree only in this build order.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .numerics import row_slices, write_csv_rows, write_json_rows
+from .numerics import gram_residuals, row_slices, write_csv_rows, write_json_rows
 
 # povm_element is not called here; it stays importable from this module
 # because bench/test_bench.py lists naimark.povm_element among the
@@ -53,27 +54,6 @@ def column_order(m: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class GramResiduals:
-    """Max-abs residuals of Z†Z = I and ZZ† = I.
-
-    orthogonality : largest |Z_k† Z_l| over k != l
-    norm          : largest | ||Z_k||^2 - 1 |
-    unitarity     : max-abs entry of Z†Z - I and ZZ† - I
-    """
-
-    orthogonality: float
-    norm: float
-    unitarity: float
-
-
-def _minus_identity(p: np.ndarray) -> np.ndarray:
-    """Subtract the identity from a square array in place; return its diagonal view."""
-    diag = np.einsum("ii->i", p)
-    diag -= 1.0
-    return diag
-
-
-@dataclass(frozen=True)
 class ExtensionMatrix:
     """Unitary M x M matrix whose columns extend the POVM directions.
 
@@ -95,23 +75,9 @@ class ExtensionMatrix:
         return self.Z[:, j]
 
     @cached_property
-    def gram_residuals(self) -> GramResiduals:
-        """Residuals from one Z†Z and one ZZ†, each formed once per matrix."""
-        z = self.Z
-        gram = z.conj().T @ z
-        diag = _minus_identity(gram)
-        norm = np.max(np.abs(diag.real))
-        left = np.max(np.abs(gram))
-        diag -= diag  # now the off-diagonal part alone, as Z†Z - diag(Z†Z)
-        orthogonality = np.max(np.abs(gram))
-        del gram, diag
-        outer = z @ z.conj().T
-        _minus_identity(outer)
-        # np.maximum keeps a NaN residual; Python's max would drop it
-        unitarity = np.maximum(left, np.max(np.abs(outer)))
-        return GramResiduals(
-            orthogonality=float(orthogonality), norm=float(norm), unitarity=float(unitarity)
-        )
+    def gram_residuals(self) -> MappingProxyType:
+        """numerics.gram_residuals of Z, formed once per matrix; read-only."""
+        return MappingProxyType(gram_residuals(self.Z))
 
 
 def _closed_form_columns(m: int, ks) -> np.ndarray:
@@ -221,40 +187,26 @@ def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
     return np.outer(col, col.conj())
 
 
-@dataclass(frozen=True)
-class NaimarkReport:
-    """Worst-case residuals of the extension constraints.
-
-    max_orthogonality_residual : largest |Z_k† Z_l| over k != l
-    max_norm_residual          : largest | ||Z_k||^2 - 1 |
-    max_povm_block_residual    : largest deviation of the reduced
-                                 projector block from Pi_k
-    unitarity_residual         : max-abs entry of Z†Z - I and ZZ† - I
-    max_probability_residual   : largest |Tr[Pi_k rho] - Tr[P_k (rho_A x rho)]|
-                                 over the sampled random states
-    """
-
-    max_orthogonality_residual: float
-    max_norm_residual: float
-    max_povm_block_residual: float
-    unitarity_residual: float
-    max_probability_residual: float
-
-    def within_tolerance(self, tol: float) -> bool:
-        """Every residual field is <= tol; a NaN residual fails."""
-        return all(r <= tol for r in astuple(self))
-
-
-def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
+def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     """Measure how well an extension satisfies all its constraints.
 
+    Returns the named max-abs residuals, in this order:
+
+    orthogonality          : largest |Z_k† Z_l| over k != l
+    norms                  : largest | ||Z_k||^2 - 1 |
+    povm_blocks            : largest deviation of the reduced projector
+                             block from Pi_k
+    unitarity              : max-abs entry of Z†Z - I and ZZ† - I
+    probability_constraint : largest |Tr[Pi_k rho] - Tr[P_k (rho_A x rho)]|
+                             over the sampled random states
+
     Never raises on a bad matrix; every violation shows up as a
-    residual, to be judged via report.within_tolerance. The probability
+    residual, and a NaN residual fails any ``<= tol`` test. The probability
     check compares the qubit-level statistics Tr[Pi_k rho] against the
     extended-space statistics Tr[P_k (rho_A tensor rho)] on NUM_STATES
     random qubit states drawn from a generator seeded with ``seed``.
     """
-    residuals = ext.gram_residuals
+    gram = ext.gram_residuals
     # reference[j] is Pi_k for the outcome k that column j carries
     reference = phase_povm(ext.M).elements[list(ext.column_order)]
     top = ext.Z[:2].T
@@ -269,13 +221,13 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> NaimarkReport:
     direct = np.einsum("jab,sba->sj", reference, rhos).real
     max_prob = float(np.max(np.abs(direct - extended)))
 
-    return NaimarkReport(
-        max_orthogonality_residual=residuals.orthogonality,
-        max_norm_residual=residuals.norm,
-        max_povm_block_residual=max_block,
-        unitarity_residual=residuals.unitarity,
-        max_probability_residual=max_prob,
-    )
+    return {
+        "orthogonality": gram["orthogonality"],
+        "norms": gram["norms"],
+        "povm_blocks": max_block,
+        "unitarity": gram["unitarity"],
+        "probability_constraint": max_prob,
+    }
 
 
 def _row_blocks(ext: ExtensionMatrix):

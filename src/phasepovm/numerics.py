@@ -43,21 +43,50 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_unitary(a) -> bool:
-    """Check whether a square matrix is unitary within COMPARISON_TOL.
+def _minus_identity(p: np.ndarray) -> np.ndarray:
+    """Subtract the identity from a square array in place; return its diagonal view."""
+    diag = np.einsum("ii->i", p)
+    diag -= 1.0
+    return diag
 
-    True iff the max-abs entries of both A†A - I and AA† - I are within it.
-    Raises ValueError for non-square input rather than returning False,
-    since that is a usage bug and not a numerical answer.
+
+def gram_residuals(a) -> dict[str, float]:
+    """Max-abs residuals of A†A = I and AA† = I for a square matrix.
+
+    orthogonality : largest |A_k† A_l| over columns k != l
+    norms         : largest | ||A_k||^2 - 1 |
+    unitarity     : max-abs entry of A†A - I and AA† - I
+
+    Each product is formed once, and A†A is freed before AA† is formed.
+    A NaN entry of A gives a NaN residual, which then fails any
+    ``<= tol`` test. Raises ValueError for non-square input rather than
+    returning a residual, since that is a usage bug and not a numerical
+    answer.
     """
     a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"is_unitary needs a square matrix, got shape {a.shape}")
-    eye = np.eye(n)
-    left = np.max(np.abs(a.conj().T @ a - eye))
-    right = np.max(np.abs(a @ a.conj().T - eye))
-    return bool(max(left, right) <= COMPARISON_TOL)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"gram_residuals needs a square matrix, got shape {a.shape}")
+    gram = a.conj().T @ a
+    diag = _minus_identity(gram)
+    norms = np.max(np.abs(diag.real))
+    left = np.max(np.abs(gram))
+    diag -= diag  # now the off-diagonal part alone, as A†A - diag(A†A)
+    orthogonality = np.max(np.abs(gram))
+    del gram, diag
+    outer = a @ a.conj().T
+    _minus_identity(outer)
+    # np.maximum keeps a NaN residual; Python's max would drop it
+    unitarity = np.maximum(left, np.max(np.abs(outer)))
+    return {
+        "orthogonality": float(orthogonality),
+        "norms": float(norms),
+        "unitarity": float(unitarity),
+    }
+
+
+def is_unitary(a) -> bool:
+    """True iff A†A - I and AA† - I are within COMPARISON_TOL (see gram_residuals)."""
+    return bool(gram_residuals(a)["unitarity"] <= COMPARISON_TOL)
 
 
 def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:

@@ -21,7 +21,7 @@ detector of block k means outcome k, on the V detector outcome k + M/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -372,9 +372,8 @@ class SlotDistribution:
         return OutcomeDistribution(M=self.M, probabilities=p.reshape(*p.shape[:-2], self.M))
 
 
-@lru_cache
 def _folded_isometry(m: int) -> np.ndarray:
-    """M x 2 map V of the loop scheme, unrolled slot by slot; read-only.
+    """M x 2 map V of the loop scheme, unrolled slot by slot.
 
     hv holds the loop amplitudes (rows H, V) for a photon entering on
     each of the two input modes (columns). Each round trip applies the
@@ -382,8 +381,7 @@ def _folded_isometry(m: int) -> np.ndarray:
     keeps the reflected pair in the loop through the polarization
     rotation. The final slot exits everything (see build_folded_schedule),
     leaving zero residual norm in the loop. This builds V independently
-    of the direct scheme's element list, so the two cross-check. V
-    depends on M alone, so it is built once per M.
+    of the direct scheme's element list, so the two cross-check.
     """
     schedule = build_folded_schedule(m)
     # initial block: polarization rotation pi/4 then waveplate pi/2
@@ -398,9 +396,7 @@ def _folded_isometry(m: int) -> np.ndarray:
         cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
         hv = np.array([[cr, sr], [-sr, cr]]) @ (-s * hv)
     clicks[m // 2 - 1] = np.cos(EXIT_SLOT_BS_ANGLE) * hv
-    v = clicks.transpose(1, 0, 2).reshape(m, 2)
-    v.flags.writeable = False
-    return v
+    return clicks.transpose(1, 0, 2).reshape(m, 2)
 
 
 def simulate_folded(m: int, rho) -> SlotDistribution:

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_usage_errors_exit_1(capsys):
         ("compare", "--M", "4", "--phi", "1"),
     ):
         assert run(*args, "--format", "csv") == 1
-        assert "--format csv applies to extend, simulate, sweep" in capsys.readouterr().err
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
         assert run(*args, "--format", "json") == 0
     capsys.readouterr()
     # above the M ceiling: refused by RunConfig, before any M x M array exists
@@ -72,6 +73,26 @@ def test_povm_takes_no_format(capsys, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --format" in captured.err
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(capsys):
+    # --seed is read by extend and verify only; --tolerance by the five
+    # commands that judge a residual
+    assert run("povm", "--M", "4", "--seed", "1") == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert run("sweep", "--M", "4", "--steps", "8", "--tolerance", "1e-9") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tolerance 1e-9" in captured.err
+    for args in (
+        ("povm", "--M", "4", "--tolerance", "1e-9"),
+        ("sweep", "--M", "4", "--steps", "8", "--seed", "1"),
+        ("compile", "--M", "4", "--seed", "1"),
+        ("simulate", "--M", "4", "--phi", "0", "--seed", "1"),
+        ("compare", "--M", "4", "--phi", "0", "--seed", "1"),
+    ):
+        assert run(*args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_negative_tolerance_is_a_usage_error(capsys):
@@ -93,7 +114,38 @@ def test_extend_writes_both_matrices(tmp_path, capsys):
     np.testing.assert_allclose(z, build_extension_closed(8).Z, atol=1e-15)
     assert recursive["M"] == 8
     err = capsys.readouterr().err
-    assert "PASS" in err
+    assert err.endswith("extension verification: PASS (seed 0)\n")
+
+
+def test_every_residual_line_names_a_verify_check(tmp_path, capsys):
+    # every command prints its residuals as name: value [ok|FAIL] under
+    # the names verify writes to its "checks" JSON
+    line = re.compile(r"^([a-z_]+): \S+ \[(ok|FAIL)\]$", re.M)
+    assert run("verify", "--M", "8", "--seed", "3") == 0
+    captured = capsys.readouterr()
+    names = list(json.loads(captured.out)["checks"])
+    assert [name for name, _ in line.findall(captured.err)] == names
+    for args, expected in (
+        (
+            ("extend", "--M", "8", "--seed", "3", "--out", str(tmp_path / "e.json")),
+            names[:6],  # closed_vs_recursive, then verify_naimark's five
+        ),
+        (("compile", "--M", "8", "--verify"), ["netlist_round_trip"]),
+        (("simulate", "--M", "8", "--phi", "0.3", "--scheme", "both"), ["folded_vs_direct"]),
+        (("compare", "--M", "8", "--phi", "0.3"), ["direct_vs_analytic", "folded_vs_direct"]),
+    ):
+        assert run(*args) == 0
+        found = line.findall(capsys.readouterr().err)
+        assert found == [(name, "ok") for name in expected]
+        assert set(expected) <= set(names)
+
+
+def test_extend_impossible_tolerance_exits_2_naming_its_seed(tmp_path, capsys):
+    out = str(tmp_path / "e.json")
+    assert run("extend", "--M", "8", "--seed", "5", "--out", out, "--tolerance", "1e-30") == 2
+    err = capsys.readouterr().err
+    assert "[FAIL]" in err
+    assert err.endswith("extension verification: FAIL (seed 5)\n")
 
 
 def test_extend_csv_format(tmp_path, capsys):
@@ -111,8 +163,10 @@ def test_extend_refuses_a_directory_before_building(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "build_extension_closed", unreachable)
     target = tmp_path / "some_dir"
     target.mkdir()
+    # a trailing slash names a directory even when there is none
+    missing = tmp_path / "no_dir"
     for fmt in ("json", "csv"):
-        for out in (str(target), f"{target}/"):
+        for out in (str(target), f"{target}/", f"{missing}/"):
             assert run("extend", "--M", "8", "--format", fmt, "--out", out) == 1
             assert "Is a directory" in capsys.readouterr().err
     names = [p.name for p in tmp_path.rglob("*")]
@@ -133,7 +187,7 @@ def test_compile_emits_netlist_json(tmp_path, capsys):
     assert net["elements"][0]["kind"] == "givens"
     assert net["elements"][1]["kind"] == "phase"
     err = capsys.readouterr().err
-    assert "round-trip residual" in err
+    assert re.search(r"^netlist_round_trip: \S+ \[ok\]$", err, re.M)
 
 
 def test_compile_m2_has_two_elements(tmp_path, capsys):
@@ -145,7 +199,7 @@ def test_compile_m2_has_two_elements(tmp_path, capsys):
 
 def test_compile_refuses_csv(capsys):
     assert run("compile", "--M", "4", "--format", "csv") == 1
-    assert "JSON" in capsys.readouterr().err
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_simulate_direct_json(tmp_path, capsys):
@@ -173,7 +227,7 @@ def test_simulate_folded_csv(tmp_path, capsys):
 def test_simulate_both_reports_discrepancy(capsys):
     assert run("simulate", "--M", "8", "--phi", "1.0", "--scheme", "both") == 0
     err = capsys.readouterr().err
-    assert "discrepancy" in err
+    assert re.search(r"^folded_vs_direct: \S+ \[ok\]$", err, re.M)
 
 
 def test_simulate_requires_a_state(capsys):
@@ -343,7 +397,7 @@ def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "simulate_folded", nan_folded)
     assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "both") == 2
-    assert "max direct/folded discrepancy: nan" in capsys.readouterr().err
+    assert "folded_vs_direct: nan [FAIL]" in capsys.readouterr().err
 
 
 def test_compile_verify_fails_on_a_nan_round_trip(monkeypatch, capsys):
@@ -353,7 +407,7 @@ def test_compile_verify_fails_on_a_nan_round_trip(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "apply_netlist", nan_apply)
     assert run("compile", "--M", "8", "--verify") == 2
-    assert "round-trip residual |netlist * Z - I|: nan" in capsys.readouterr().err
+    assert "netlist_round_trip: nan [FAIL]" in capsys.readouterr().err
 
 
 def test_compile_verify_checks_the_written_netlist(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasepovm.numerics import (
+    gram_residuals,
     is_unitary,
     partial_trace_ancilla,
     rotate_rows,
@@ -113,6 +114,46 @@ def test_is_unitary_rejects_scaled_and_singular():
     assert not is_unitary(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="square"):
         is_unitary(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        gram_residuals(np.ones((3, 2)))
+
+
+@st.composite
+def square_matrices(draw):
+    """A complex n x n matrix: unitary, a scaled unitary or Gaussian, maybe with one NaN."""
+    # n >= 2: a 1 x 1 matrix has no off-diagonal entry to take the maximum of
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["unitary", "scaled", "gaussian"]))
+    if kind == "gaussian":
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    else:
+        a = _random_unitary(rng, n)
+        if kind == "scaled":
+            a *= draw(st.floats(0.25, 2.0))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = np.nan
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=square_matrices())
+def test_gram_residuals_equal_the_dense_products(a):
+    eye = np.eye(len(a))
+    gram, outer = a.conj().T @ a, a @ a.conj().T
+    off_diagonal = gram[~np.eye(len(a), dtype=bool)]
+    expected = {
+        "orthogonality": np.max(np.abs(off_diagonal)),
+        "norms": np.max(np.abs(np.diag(gram).real - 1.0)),
+        # np.maximum, not max: a NaN must survive
+        "unitarity": np.maximum(np.max(np.abs(gram - eye)), np.max(np.abs(outer - eye))),
+    }
+    got = gram_residuals(a)
+    assert list(got) == list(expected)
+    for name, value in expected.items():
+        np.testing.assert_allclose(got[name], value, rtol=0, atol=1e-13, err_msg=name)
+    assert np.isnan(got["unitarity"]) == bool(np.isnan(a).any())
+    assert is_unitary(a) == (got["unitarity"] <= 1e-10)
 
 
 def test_rotate_rows_applies_the_plane_rotation_convention():

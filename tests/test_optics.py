@@ -473,13 +473,10 @@ def test_folded_equals_direct_on_random_states(m):
 
 
 @pytest.mark.parametrize("m", [4, 256])
-def test_folded_isometry_is_built_once_per_m_and_read_only(m):
+def test_folded_isometry_is_an_isometry(m):
     v = _folded_isometry(m)
     assert v.shape == (m, 2)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-12)
-    assert _folded_isometry(m) is v
-    with pytest.raises(ValueError, match="read-only"):
-        v[0, 0] = 1.0
 
 
 def test_folded_maximally_mixed_slots_are_uniform_pairs():
