@@ -205,15 +205,6 @@ class Scheme:
             }
         )
 
-    @property
-    def port_outcomes(self) -> tuple[int, ...]:
-        """Outcome of each logical output port of the compiled netlist.
-
-        Port j holds outcome port_outcomes[j-1]: the interleaved ordering
-        of the extension columns.
-        """
-        return column_order(self.M)
-
     @cached_property
     def isometry(self) -> np.ndarray:
         """M x 2 map V from the photon's input pair to the detectors.

@@ -44,7 +44,7 @@ def test_povm_rejects_non_power_of_two(capsys):
     assert "M must be a power of 2" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run() == 1
     assert run("povm") == 1  # --M required
     assert run("no-such-command", "--M", "4") == 1
@@ -59,11 +59,20 @@ def test_usage_errors_exit_1(capsys):
         assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
         assert run(*args, "--format", "json") == 0
     capsys.readouterr()
-    # above the M ceiling: refused by RunConfig, before any M x M array exists
+    # above the M ceiling: refused by the parser, before any M x M array exists
     assert run("verify", "--M", "8192") == 1
-    assert "at most 4096" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --M" in err and "at most 4096" in err
     assert run("povm", "--M", "65536") == 1
     assert "at most 4096" in capsys.readouterr().err
+    assert run("povm", "--M", "3") == 1
+    assert "argument --M" in capsys.readouterr().err
+    # a bad M is refused before --out is opened
+    out = tmp_path / "f.csv"
+    assert run("sweep", "--M", "3", "--steps", "4", "--out", str(out)) == 1
+    assert not out.exists()
+    assert run("simulate", "--M", "8", "--phi", "0", "--scheme", "both") == 1
+    assert "invalid choice: 'both'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -93,6 +102,12 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys):
     ):
         assert run(*args) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+    # compile judges only with --verify, so --tolerance alone is refused
+    # before the netlist is written
+    assert run("compile", "--M", "4", "--tolerance", "1e-9") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--verify" in captured.err
 
 
 def test_negative_tolerance_is_a_usage_error(capsys):
@@ -131,7 +146,10 @@ def test_every_residual_line_names_a_verify_check(tmp_path, capsys):
             names[:6],  # closed_vs_recursive, then verify_naimark's five
         ),
         (("compile", "--M", "8", "--verify"), ["netlist_round_trip"]),
-        (("simulate", "--M", "8", "--phi", "0.3", "--scheme", "both"), ["folded_vs_direct"]),
+        (
+            ("simulate", "--M", "8", "--phi", "0.3", "--scheme", "folded"),
+            ["direct_vs_analytic", "folded_vs_direct"],
+        ),
         (("compare", "--M", "8", "--phi", "0.3"), ["direct_vs_analytic", "folded_vs_direct"]),
     ):
         assert run(*args) == 0
@@ -225,14 +243,43 @@ def test_simulate_folded_csv(tmp_path, capsys):
 
 
 def test_simulate_both_reports_discrepancy(capsys):
-    assert run("simulate", "--M", "8", "--phi", "1.0", "--scheme", "both") == 0
+    assert run("simulate", "--M", "8", "--phi", "1.0") == 0
     err = capsys.readouterr().err
+    assert re.search(r"^direct_vs_analytic: \S+ \[ok\]$", err, re.M)
     assert re.search(r"^folded_vs_direct: \S+ \[ok\]$", err, re.M)
+
+
+def test_simulate_judges_and_writes_one_run_per_layout(monkeypatch, tmp_path, capsys):
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("simulate_direct", "simulate_folded"):
+        monkeypatch.setattr(cli, name, counted(name))
+    for scheme in ("direct", "folded"):
+        out = tmp_path / f"{scheme}.json"
+        args = ("simulate", "--M", "8", "--phi", "0.3", "--scheme", scheme, "--out", str(out))
+        assert run(*args, "--tolerance", "1e-30") == 2
+        assert "[FAIL]" in capsys.readouterr().err
+        assert json.loads(out.read_text())["M"] == 8
+    assert calls == {"simulate_direct": 2, "simulate_folded": 2}
+    # M = 2 has no folded layout: refused before any check is printed
+    assert run("simulate", "--M", "2", "--phi", "0", "--scheme", "folded") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not re.search(r"\[(ok|FAIL)\]", captured.err)
 
 
 def test_simulate_requires_a_state(capsys):
     assert run("simulate", "--M", "8") == 1
-    assert "--phi or --state-file" in capsys.readouterr().err
+    assert "one of the arguments --phi --state-file is required" in capsys.readouterr().err
 
 
 def test_simulate_rejects_folded_m2(capsys):
@@ -396,7 +443,7 @@ def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
         return SlotDistribution(M=m, probabilities=np.full((m // 2, 2), np.nan))
 
     monkeypatch.setattr(cli, "simulate_folded", nan_folded)
-    assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "both") == 2
+    assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "direct") == 2
     assert "folded_vs_direct: nan [FAIL]" in capsys.readouterr().err
 
 
@@ -422,6 +469,15 @@ def test_compile_verify_checks_the_written_netlist(monkeypatch, capsys):
     monkeypatch.setattr(cli, "netlist_to_json_dict", shifted)
     assert run("compile", "--M", "8", "--verify") == 2
     assert '"omega"' in capsys.readouterr().out
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    def unreachable():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", unreachable)
+    assert run("povm", "--M", "4") == 0
+    capsys.readouterr()
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

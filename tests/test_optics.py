@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasepovm.compiler import decompose_closed, evaluate_netlist, triplet_angle
-from phasepovm.naimark import build_extension_closed
+from phasepovm.naimark import build_extension_closed, column_order
 from phasepovm.numerics import is_unitary
 from phasepovm.optics import (
     Detector,
@@ -305,7 +305,7 @@ def test_scheme_transfer_matches_netlist_on_photon_columns(m):
     n = evaluate_netlist(decompose_closed(m))
     where = {outcome: key for key, outcome in scheme.detector_map.items()}
     for j in range(m):
-        path, pol = where[scheme.port_outcomes[j]]
+        path, pol = where[column_order(scheme.M)[j]]
         np.testing.assert_allclose(
             t[mode_index(path, pol), 0:2], n[j, 0:2], atol=1e-10
         )
