@@ -119,6 +119,12 @@ def _phase(phi: float) -> None:
 
 
 @_flag_type(int)
+def _seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+@_flag_type(int)
 def _steps(steps: int) -> None:
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
@@ -202,7 +208,7 @@ def build_parser() -> _Parser:
         )
     compile_.set_defaults(tolerance=None)  # compile reads --tolerance only with --verify
     for p in (extend, verify):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
 
     return parser
 

@@ -3,7 +3,10 @@
 The photon lives in polarization-resolved spatial modes: path m carries
 an H slot at vector index 2m-1 and a V slot at index 2m (1-based), and
 a state is the list of creation-operator coefficients over those slots.
-Optical elements act as small block unitaries on the touched slots.
+Each element lowers to netlist elements on netlist modes mode_index + 1:
+a polarization rotation to W(H, V), a waveplate to S(V), a PPBS to
+W(H_a, H_b) then W(V_a, V_b), a PBS to that PPBS at angles (0, pi/2),
+and a detector to nothing; compiler.apply_netlist runs every layout.
 
 Two layouts realize the M-outcome measurement:
 
@@ -26,9 +29,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .compiler import Netlist, evaluate_netlist, triplet_angle
+from .compiler import GivensRotation, Netlist, PhaseShift, apply_netlist, triplet_angle
 from .naimark import column_order
-from .numerics import rotate_rows
 from .povm import OutcomeDistribution, validate_density, validate_outcome_count
 
 NORM_TOL = 1e-12
@@ -141,37 +143,38 @@ class Detector:
 OpticalElement = PolarizationRotation | WaveplatePhase | PPBS | PBS | Detector
 
 
-def _apply_to_rows(arr: np.ndarray, e: OpticalElement, paths: int) -> None:
-    """Apply one element in place to an array of amplitude rows."""
-    if isinstance(e, PolarizationRotation):
-        if e.path > paths:
-            raise ValueError(f"path {e.path} out of range ({paths} paths)")
-        rotate_rows(arr, mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle)
-    elif isinstance(e, WaveplatePhase):
-        if e.path > paths:
-            raise ValueError(f"path {e.path} out of range ({paths} paths)")
-        arr[mode_index(e.path, "V")] *= np.exp(-1j * e.phase)
-    elif isinstance(e, PPBS):
-        if max(e.path_a, e.path_b) > paths:
-            raise ValueError(
-                f"paths ({e.path_a}, {e.path_b}) out of range ({paths} paths)"
-            )
-        rotate_rows(arr, mode_index(e.path_a, "H"), mode_index(e.path_b, "H"), e.angle_h)
-        rotate_rows(arr, mode_index(e.path_a, "V"), mode_index(e.path_b, "V"), e.angle_v)
-    elif isinstance(e, PBS):
-        _apply_to_rows(arr, PPBS(e.path_a, e.path_b, 0.0, np.pi / 2), paths)
-    elif isinstance(e, Detector):
-        # readout marker, no amplitude change
-        if e.path > paths:
-            raise ValueError(f"path {e.path} out of range ({paths} paths)")
-    else:
+def _rotation(i: int, j: int, angle: float) -> GivensRotation:
+    """Rotate 0-based slots (i, j) by angle; for i > j that is W(j + 1, i + 1, -angle)."""
+    if i < j:
+        return GivensRotation(i + 1, j + 1, angle)
+    return GivensRotation(j + 1, i + 1, -angle)
+
+
+def _lower(e: OpticalElement, paths: int) -> tuple[GivensRotation | PhaseShift, ...]:
+    """Netlist elements of one element on ``paths`` paths, as the module docstring lists."""
+    if not isinstance(e, OpticalElement):
         raise TypeError(f"not an optical element: {e!r}")
+    if isinstance(e, PBS):
+        e = PPBS(e.path_a, e.path_b, 0.0, np.pi / 2)
+    top = max(e.path_a, e.path_b) if isinstance(e, PPBS) else e.path
+    if top > paths:
+        raise ValueError(f"path {top} out of range ({paths} paths)")
+    if isinstance(e, PolarizationRotation):
+        return (_rotation(mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle),)
+    if isinstance(e, WaveplatePhase):
+        return (PhaseShift(mode_index(e.path, "V") + 1, e.phase),)
+    if isinstance(e, PPBS):
+        return tuple(
+            _rotation(mode_index(e.path_a, pol), mode_index(e.path_b, pol), angle)
+            for pol, angle in (("H", e.angle_h), ("V", e.angle_v))
+        )
+    return ()  # a Detector is a readout marker
 
 
 def apply_element(state: ModeAmplitudes, e: OpticalElement) -> ModeAmplitudes:
     """Propagate a state through a single element (pure function)."""
     arr = state.amplitudes.copy()
-    _apply_to_rows(arr, e, state.paths)
+    apply_netlist(Netlist(len(arr), _lower(e, state.paths)), arr)
     return ModeAmplitudes(arr)
 
 
@@ -206,6 +209,12 @@ class Scheme:
         )
 
     @cached_property
+    def netlist(self) -> Netlist:
+        """The layout lowered once; its M counts the 2 * n_paths modes, not the outcomes."""
+        lowered = (x for e in self.elements for x in _lower(e, self.n_paths))
+        return Netlist(M=2 * self.n_paths, elements=tuple(lowered))
+
+    @cached_property
     def isometry(self) -> np.ndarray:
         """M x 2 map V from the photon's input pair to the detectors.
 
@@ -214,11 +223,10 @@ class Scheme:
         tuple of frozen records, so V is built once per scheme; the
         array is read-only.
         """
-        t = _propagate(self, np.eye(2 * self.n_paths, 2, dtype=complex))
         rows = np.empty(self.M, dtype=int)
         for (path, pol), k in self.detector_map.items():
             rows[k] = mode_index(path, pol)
-        v = t[rows]
+        v = apply_netlist(self.netlist, np.eye(2 * self.n_paths, 2, dtype=complex))[rows]
         v.flags.writeable = False
         return v
 
@@ -235,8 +243,8 @@ def build_direct_scheme(m: int) -> Scheme:
     pass-through pair meets one last polarizing splitter and detector
     pair. Polarizing splitters are oriented with the fresh detector
     path first so the reflected V amplitude keeps a plus sign; the
-    scheme transfer matrix restricted to its logical ports then equals
-    the compiled netlist of Z† exactly.
+    transfer matrix of Scheme.netlist restricted to its logical ports
+    then equals the compiled netlist of Z† exactly.
     """
     m = validate_outcome_count(m)
     elements: list[OpticalElement] = [
@@ -264,18 +272,6 @@ def build_direct_scheme(m: int) -> Scheme:
     return Scheme(M=m, n_paths=next_path - 1, elements=tuple(elements))
 
 
-def _propagate(scheme: Scheme, arr: np.ndarray) -> np.ndarray:
-    """Send amplitude rows through every element of the layout, in place."""
-    for e in scheme.elements:
-        _apply_to_rows(arr, e, scheme.n_paths)
-    return arr
-
-
-def scheme_transfer_matrix(scheme: Scheme) -> np.ndarray:
-    """Full unitary of the layout over all 2*n_paths modes."""
-    return _propagate(scheme, np.eye(2 * scheme.n_paths, dtype=complex))
-
-
 def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
     """Click probabilities P_k = (V rho V†)_kk of an M x 2 isometry V.
 
@@ -299,8 +295,8 @@ def simulate_netlist(netlist: Netlist, rho) -> OutcomeDistribution:
     Output port j carries the outcome given by the interleaved column
     order, the same assignment the direct scheme realizes physically.
     """
-    v = np.empty((netlist.M, 2), dtype=complex)
-    v[list(column_order(netlist.M))] = evaluate_netlist(netlist)[:, :2]
+    rows = np.argsort(column_order(netlist.M))  # outcome k is read at port rows[k]
+    v = apply_netlist(netlist, np.eye(netlist.M, 2, dtype=complex))[rows]
     return _click_statistics(v, rho)
 
 

@@ -73,6 +73,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not out.exists()
     assert run("simulate", "--M", "8", "--phi", "0", "--scheme", "both") == 1
     assert "invalid choice: 'both'" in capsys.readouterr().err
+    # a negative seed is refused by the parser, before any Z is built or written
+    assert run("verify", "--M", "8", "--seed", "-1") == 1
+    assert "argument --seed" in capsys.readouterr().err
+    assert run("extend", "--M", "8", "--seed", "-1", "--out", str(tmp_path / "f.json")) == 1
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "f_closed.json").exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -7,7 +7,7 @@ import pytest
 
 from phasepovm.compiler import decompose_closed, evaluate_netlist, triplet_angle
 from phasepovm.naimark import build_extension_closed, column_order
-from phasepovm.numerics import is_unitary
+from phasepovm.numerics import is_unitary, rotate_rows
 from phasepovm.optics import (
     Detector,
     EXIT_SLOT_BS_ANGLE,
@@ -16,6 +16,7 @@ from phasepovm.optics import (
     PPBS,
     PolarizationRotation,
     WaveplatePhase,
+    _click_statistics,
     _folded_isometry,
     apply_element,
     beam_splitter,
@@ -24,7 +25,6 @@ from phasepovm.optics import (
     distribution_to_csv,
     distribution_to_json_dict,
     mode_index,
-    scheme_transfer_matrix,
     simulate_direct,
     simulate_folded,
     simulate_netlist,
@@ -82,6 +82,62 @@ def _reference_folded(m, rho):
         pairs[m // 2 - 1, 0] += val * float(np.abs(c * h) ** 2)
         pairs[m // 2 - 1, 1] += val * float(np.abs(c * v) ** 2)
     return pairs
+
+
+def _reference_apply(arr, e, paths):
+    """Each element applied in place by its own kernel call, not through a netlist."""
+    if isinstance(e, PolarizationRotation):
+        if e.path > paths:
+            raise ValueError(f"path {e.path} out of range ({paths} paths)")
+        rotate_rows(arr, mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle)
+    elif isinstance(e, WaveplatePhase):
+        if e.path > paths:
+            raise ValueError(f"path {e.path} out of range ({paths} paths)")
+        arr[mode_index(e.path, "V")] *= np.exp(-1j * e.phase)
+    elif isinstance(e, PPBS):
+        if max(e.path_a, e.path_b) > paths:
+            raise ValueError(
+                f"paths ({e.path_a}, {e.path_b}) out of range ({paths} paths)"
+            )
+        rotate_rows(arr, mode_index(e.path_a, "H"), mode_index(e.path_b, "H"), e.angle_h)
+        rotate_rows(arr, mode_index(e.path_a, "V"), mode_index(e.path_b, "V"), e.angle_v)
+    elif isinstance(e, PBS):
+        _reference_apply(arr, PPBS(e.path_a, e.path_b, 0.0, np.pi / 2), paths)
+    elif isinstance(e, Detector):
+        if e.path > paths:
+            raise ValueError(f"path {e.path} out of range ({paths} paths)")
+    else:
+        raise TypeError(f"not an optical element: {e!r}")
+
+
+def _reference_isometry(scheme):
+    """V from the two input modes sent through _reference_apply, element by element."""
+    arr = np.eye(2 * scheme.n_paths, 2, dtype=complex)
+    for e in scheme.elements:
+        _reference_apply(arr, e, scheme.n_paths)
+    rows = np.empty(scheme.M, dtype=int)
+    for (path, pol), k in scheme.detector_map.items():
+        rows[k] = mode_index(path, pol)
+    return arr[rows]
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bits, so signed zeros and NaN payloads count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _random_element(rng, paths):
+    """One seeded element of any kind; PPBS and PBS often run from a higher path."""
+    p1, p2 = (int(p) for p in rng.choice(paths, size=2, replace=False) + 1)
+    h, v = (float(a) for a in rng.uniform(-2 * np.pi, 2 * np.pi, size=2))
+    return (
+        PolarizationRotation(p1, h),
+        WaveplatePhase(p1, h),
+        PPBS(p1, p2, h, v),
+        PBS(p1, p2),
+        Detector(p1, "HV"[int(rng.integers(2))], 0),
+    )[int(rng.integers(5))]
 
 
 def _seeded_states(seed, count=6):
@@ -187,12 +243,37 @@ def test_norm_conserved_through_random_element_chains():
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
+def test_apply_element_matches_the_reference_dispatcher_bit_for_bit():
+    rng = np.random.default_rng(SEED)
+    reversed_splitters = 0
+    for _ in range(300):
+        paths = int(rng.integers(2, 6))
+        a = rng.normal(size=2 * paths) + 1j * rng.normal(size=2 * paths)
+        a /= np.linalg.norm(a)
+        # exact zeros of both signs, so a flipped signed zero shows
+        a.real[rng.random(2 * paths) < 0.3] = 0.0
+        a.imag[rng.random(2 * paths) < 0.3] = -0.0
+        state, ref = ModeAmplitudes(a), a.copy()
+        for _ in range(10):
+            e = _random_element(rng, paths)
+            if isinstance(e, (PPBS, PBS)) and e.path_a > e.path_b:
+                reversed_splitters += 1
+            state = apply_element(state, e)
+            _reference_apply(ref, e, paths)
+            assert _same_bits(state.amplitudes, ref), e
+    assert reversed_splitters > 100
+
+
 def test_apply_element_rejects_out_of_range_paths():
     s = ModeAmplitudes(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="out of range"):
         apply_element(s, PolarizationRotation(2, 0.1))
     with pytest.raises(ValueError, match="out of range"):
+        apply_element(s, WaveplatePhase(2, 0.1))
+    with pytest.raises(ValueError, match="out of range"):
         apply_element(s, PPBS(1, 2, 0.1, 0.2))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_element(s, PBS(2, 1))
     with pytest.raises(ValueError, match="out of range"):
         apply_element(s, Detector(2, "H", 0))
     with pytest.raises(ValueError):
@@ -295,13 +376,13 @@ def test_direct_scheme_element_count_linear_and_unitary(m):
     scheme = build_direct_scheme(m)
     assert len(scheme.elements) == 2 + 5 * (m // 2 - 1) + 3
     assert scheme.n_paths == m
-    assert is_unitary(scheme_transfer_matrix(scheme))
+    assert is_unitary(evaluate_netlist(scheme.netlist))
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
 def test_scheme_transfer_matches_netlist_on_photon_columns(m):
     scheme = build_direct_scheme(m)
-    t = scheme_transfer_matrix(scheme)
+    t = evaluate_netlist(scheme.netlist)
     n = evaluate_netlist(decompose_closed(m))
     where = {outcome: key for key, outcome in scheme.detector_map.items()}
     for j in range(m):
@@ -338,7 +419,7 @@ def test_simulate_folded_matches_the_eigenvector_reference(m):
 def test_scheme_isometry_is_the_detector_rows_of_the_transfer_matrix(m):
     scheme = build_direct_scheme(m)
     v = scheme.isometry
-    t = scheme_transfer_matrix(scheme)
+    t = evaluate_netlist(scheme.netlist)
     assert v.shape == (m, 2)
     for (path, pol), k in scheme.detector_map.items():
         np.testing.assert_array_equal(v[k], t[mode_index(path, pol), :2])
@@ -346,6 +427,36 @@ def test_scheme_isometry_is_the_detector_rows_of_the_transfer_matrix(m):
     assert scheme.isometry is v  # built once per scheme
     with pytest.raises(ValueError, match="read-only"):
         v[0, 0] = 1.0
+
+
+def _states_and_stack(seed):
+    """One mixed state, then a stack of pure and mixed states."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, pure=bool(s % 2)) for s in range(6)])
+    return [random_density(rng), stack]
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_direct_scheme_isometry_equals_the_reference_propagation_bit_for_bit(m):
+    scheme = build_direct_scheme(m)
+    v = _reference_isometry(scheme)
+    assert _same_bits(scheme.isometry, v)
+    for rho in _states_and_stack(SEED + m):
+        assert _same_bits(
+            simulate_direct(scheme, rho).probabilities, _click_statistics(v, rho).probabilities
+        )
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_simulate_netlist_equals_the_transfer_matrix_route_bit_for_bit(m):
+    net = decompose_closed(m)
+    # the first two columns of the full M x M matrix, scattered onto the detectors
+    v = np.empty((m, 2), dtype=complex)
+    v[list(column_order(m))] = evaluate_netlist(net)[:, :2]
+    for rho in _states_and_stack(SEED + m):
+        assert _same_bits(
+            simulate_netlist(net, rho).probabilities, _click_statistics(v, rho).probabilities
+        )
 
 
 def test_scheme_is_hashable_and_its_detector_map_read_only():
