@@ -13,7 +13,8 @@ place, one element at a time, without forming it.
 Two routes produce the same netlist for extension matrices: a closed
 form (one bootstrap pair followed by rotation triplets on neighbouring
 mode pairs) and a generic elimination that left-multiplies Z by
-rotations until the identity remains.
+rotations until the identity remains, and carries the identity along
+to give the elimination netlist's transfer matrix in the same sweep.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def evaluate_netlist(n: Netlist) -> np.ndarray:
     return apply_netlist(n, np.eye(n.M, dtype=complex))
 
 
-def decompose_by_elimination(z) -> Netlist:
+def eliminate(z) -> tuple[Netlist, np.ndarray]:
     """Factorize a unitary by eliminating it down to the identity.
 
     Accepts an ExtensionMatrix or a plain square unitary array. If the
@@ -148,6 +149,11 @@ def decompose_by_elimination(z) -> Netlist:
     positive. Entries at or below PIVOT_TOL emit nothing. The
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
+
+    Returns that netlist and its transfer matrix. The rotations sweep
+    [Z | I] once, and every column takes the same arithmetic, so the
+    right half ends as evaluate_netlist(netlist), bit for bit, without
+    a second pass.
 
     Unitarity is judged at COMPARISON_TOL on numerics.gram_residuals, the
     copy an ExtensionMatrix caches or one formed from a plain array. Raises
@@ -167,9 +173,10 @@ def decompose_by_elimination(z) -> Netlist:
     if not residuals["unitarity"] <= COMPARISON_TOL:
         raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
 
-    a = z.copy()
+    a = np.hstack([z, np.eye(m)])
+    left = a[:, :m]
     elements: list[NetlistElement] = []
-    if np.max(np.abs(a[:2, :].imag)) > PIVOT_TOL:
+    if np.max(np.abs(left[:2].imag)) > PIVOT_TOL:
         elements += BOOTSTRAP
         for e in BOOTSTRAP:
             _apply_element(a, e)
@@ -181,20 +188,27 @@ def decompose_by_elimination(z) -> Netlist:
             (2 * k + 3, 2 * k + 4, 2 * k + 3),
         )
         for u, v, col in schedule:
-            lower = a[v - 1, col - 1]
+            lower = left[v - 1, col - 1]
             if abs(lower) <= PIVOT_TOL:
                 continue
-            omega = float(np.arctan2(lower.real, a[u - 1, col - 1].real))
+            omega = float(np.arctan2(lower.real, left[u - 1, col - 1].real))
             g = GivensRotation(u, v, omega)
             _apply_element(a, g)
             elements.append(g)
 
-    residual = float(np.max(np.abs(a - np.eye(m))))
+    # in place: [Z | I] is the largest array alive here
+    left[np.diag_indices(m)] -= 1.0
+    residual = float(np.max(np.abs(left)))
     if not residual <= ELIMINATION_RESIDUAL_TOL:
         raise RuntimeError(
             f"elimination did not reach the identity, residual {residual:.3e}"
         )
-    return Netlist(M=m, elements=tuple(elements))
+    return Netlist(M=m, elements=tuple(elements)), a[:, m:].copy()
+
+
+def decompose_by_elimination(z) -> Netlist:
+    """The netlist of eliminate(z), which documents the algorithm and its errors."""
+    return eliminate(z)[0]
 
 
 def canonical_angle(a: float) -> float:

@@ -57,26 +57,56 @@ def gram_residuals(a) -> dict[str, float]:
     norms         : largest | ||A_k||^2 - 1 |
     unitarity     : max-abs entry of A†A - I and AA† - I
 
-    Each product is formed once, and A†A is freed before AA† is formed.
-    A NaN entry of A gives a NaN residual, which then fails any
-    ``<= tol`` test. Raises ValueError for non-square input rather than
-    returning a residual, since that is a usage bug and not a numerical
-    answer.
+    Write A = P + iQ with P, Q real, and let R be the rows where Q is
+    nonzero; an extension Z is real below its top two rows. Then
+
+        A†A = [P; Q_R]ᵀ[P; Q_R] + i [P_R; Q_R]ᵀ[Q_R; -P_R],
+        AA† = PPᵀ + Q_R Q_Rᵀ on R x R + i (S - Sᵀ), S = Q_R Pᵀ on rows R,
+
+    so only PᵀP and PPᵀ are M^3 products, and both are real; a matrix
+    with an imaginary part in every row takes the same formula. R is
+    found by an exact test, and NaN != 0, so a NaN imaginary part marks
+    its own row. A NaN entry of A gives a NaN residual, which then fails
+    any ``<= tol`` test. Raises ValueError for non-square input rather
+    than returning a residual, since that is a usage bug and not a
+    numerical answer.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"gram_residuals needs a square matrix, got shape {a.shape}")
-    gram = a.conj().T @ a
+    m = len(a)
+    rows = np.flatnonzero((a.imag != 0).any(axis=1))
+    stack = np.concatenate([a.real, a.imag[rows]])  # [P; Q_R], one contiguous copy
+    p, q = stack[:m], stack[m:]
+
+    gram = stack.T @ stack
     diag = _minus_identity(gram)
-    norms = np.max(np.abs(diag.real))
-    left = np.max(np.abs(gram))
-    diag -= diag  # now the off-diagonal part alone, as A†A - diag(A†A)
-    orthogonality = np.max(np.abs(gram))
-    del gram, diag
-    outer = a @ a.conj().T
+    norms = np.max(np.abs(diag))
+    diag -= diag  # now the off-diagonal part alone
+    skew = np.concatenate([p[rows], q]).T @ np.concatenate([q, -p[rows]])
+    diag = np.einsum("ii->i", skew)
+    diag -= diag  # zero in exact arithmetic; the product leaves rounding there
+    # squared moduli in place: no complex M x M array and no temporary (a
+    # modulus below 1e-154 squares to 0 and one above 1e154 to inf)
+    gram *= gram
+    skew *= skew
+    gram += skew
+    orthogonality = np.sqrt(np.max(gram))
+    del gram, skew, diag
+
+    outer = p @ p.T
+    outer[np.ix_(rows, rows)] += q @ q.T
     _minus_identity(outer)
-    # np.maximum keeps a NaN residual; Python's max would drop it
-    unitarity = np.maximum(left, np.max(np.abs(outer)))
+    band = q @ p.T  # rows R of S; on columns R, S - Sᵀ also subtracts Sᵀ
+    band[:, rows] -= band[:, rows].T
+    outer *= outer
+    band *= band
+    # AA† is Hermitian, so rows R hold every modulus its imaginary part adds
+    outer[rows] += band
+    right = np.max(outer)
+    # the diagonal of A†A - I is real, so its modulus is norms' entry;
+    # np.maximum keeps a NaN residual, where Python's max would drop it
+    unitarity = np.maximum(np.maximum(norms, orthogonality), np.sqrt(right))
     return {
         "orthogonality": float(orthogonality),
         "norms": float(norms),

@@ -30,7 +30,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .compiler import GivensRotation, Netlist, PhaseShift, apply_netlist, triplet_angle
-from .naimark import column_order
 from .povm import OutcomeDistribution, validate_density, validate_outcome_count
 
 NORM_TOL = 1e-12
@@ -143,32 +142,39 @@ class Detector:
 OpticalElement = PolarizationRotation | WaveplatePhase | PPBS | PBS | Detector
 
 
-def _rotation(i: int, j: int, angle: float) -> GivensRotation:
-    """Rotate 0-based slots (i, j) by angle; for i > j that is W(j + 1, i + 1, -angle)."""
-    if i < j:
-        return GivensRotation(i + 1, j + 1, angle)
-    return GivensRotation(j + 1, i + 1, -angle)
+def _rotation(u: int, v: int, angle: float) -> GivensRotation:
+    """Rotate netlist modes (u, v) by angle; for u > v that is W(v, u, -angle)."""
+    if u < v:
+        return GivensRotation(u, v, angle)
+    return GivensRotation(v, u, -angle)
 
 
 def _lower(e: OpticalElement, paths: int) -> tuple[GivensRotation | PhaseShift, ...]:
-    """Netlist elements of one element on ``paths`` paths, as the module docstring lists."""
-    if not isinstance(e, OpticalElement):
+    """Netlist elements of one element on ``paths`` paths, as the module docstring lists.
+
+    Path p has its H slot on netlist mode 2p - 1 and its V slot on 2p
+    (mode_index + 1).
+    """
+    kind = type(e)
+    if kind is PPBS or kind is PBS:
+        a, b = e.path_a, e.path_b
+        low, top = min(a, b), max(a, b)
+    elif kind is PolarizationRotation or kind is WaveplatePhase or kind is Detector:
+        low = top = e.path
+    else:
         raise TypeError(f"not an optical element: {e!r}")
-    if isinstance(e, PBS):
-        e = PPBS(e.path_a, e.path_b, 0.0, np.pi / 2)
-    top = max(e.path_a, e.path_b) if isinstance(e, PPBS) else e.path
     if top > paths:
         raise ValueError(f"path {top} out of range ({paths} paths)")
-    if isinstance(e, PolarizationRotation):
-        return (_rotation(mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle),)
-    if isinstance(e, WaveplatePhase):
-        return (PhaseShift(mode_index(e.path, "V") + 1, e.phase),)
-    if isinstance(e, PPBS):
-        return tuple(
-            _rotation(mode_index(e.path_a, pol), mode_index(e.path_b, pol), angle)
-            for pol, angle in (("H", e.angle_h), ("V", e.angle_v))
-        )
-    return ()  # a Detector is a readout marker
+    if kind is Detector:
+        return ()  # a readout marker
+    if low < 1:
+        raise ValueError(f"path index must be >= 1, got {low}")
+    if kind is PolarizationRotation:
+        return (GivensRotation(2 * top - 1, 2 * top, e.angle),)
+    if kind is WaveplatePhase:
+        return (PhaseShift(2 * top, e.phase),)
+    h, v = (e.angle_h, e.angle_v) if kind is PPBS else (0.0, np.pi / 2)
+    return _rotation(2 * a - 1, 2 * b - 1, h), _rotation(2 * a, 2 * b, v)
 
 
 def apply_element(state: ModeAmplitudes, e: OpticalElement) -> ModeAmplitudes:
@@ -197,9 +203,9 @@ class Scheme:
                 f"detectors must read each outcome 0..{self.M - 1} once, at distinct modes"
             )
 
-    @property
+    @cached_property
     def detector_map(self) -> MappingProxyType:
-        """Read-only map from (path, polarization) to its detector's outcome."""
+        """Read-only map from (path, polarization) to its detector's outcome, built once."""
         return MappingProxyType(
             {
                 (e.path, e.polarization): e.outcome
@@ -287,17 +293,6 @@ def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
 def simulate_direct(scheme: Scheme, rho) -> OutcomeDistribution:
     """Detector-click statistics of the direct scheme on a qubit state."""
     return _click_statistics(scheme.isometry, rho)
-
-
-def simulate_netlist(netlist: Netlist, rho) -> OutcomeDistribution:
-    """Statistics of a compiled netlist driven on its first two modes.
-
-    Output port j carries the outcome given by the interleaved column
-    order, the same assignment the direct scheme realizes physically.
-    """
-    rows = np.argsort(column_order(netlist.M))  # outcome k is read at port rows[k]
-    v = apply_netlist(netlist, np.eye(netlist.M, 2, dtype=complex))[rows]
-    return _click_statistics(v, rho)
 
 
 @dataclass(frozen=True)

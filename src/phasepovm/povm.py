@@ -143,8 +143,12 @@ def random_density(rng: np.random.Generator, pure: bool | None = None) -> np.nda
 def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
     """Probabilities Tr[Pi_k rho] of every outcome k on a state or (S, 2, 2) stack."""
     rho = validate_density(rho)
-    # one 2x2 product per element keeps the digits; an einsum changes them
-    p = np.trace(povm.elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    # one BLAS product of the 2M x 2 stacked elements with each state; the
+    # trace of each 2x2 block of the result gives the bits of the per-element
+    # product Pi_k @ rho, which an einsum does not
+    blocks = povm.elements.reshape(2 * povm.M, 2) @ rho
+    blocks = blocks.reshape(*rho.shape[:-2], povm.M, 2, 2)
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
     return OutcomeDistribution(M=povm.M, probabilities=p)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasepovm.compiler import (
+    BOOTSTRAP,
     GivensRotation,
     Netlist,
     PhaseShift,
@@ -16,13 +17,14 @@ from phasepovm.compiler import (
     canonical_angle,
     decompose_by_elimination,
     decompose_closed,
+    eliminate,
     evaluate_netlist,
     netlist_from_json_dict,
     netlist_to_json_dict,
     netlists_equal,
     triplet_angle,
 )
-from phasepovm.naimark import build_extension_closed
+from phasepovm.naimark import build_extension_closed, build_extension_recursive
 
 SEED = 20240811
 POWERS = [2, 4, 8, 16, 32, 64]
@@ -155,6 +157,27 @@ def test_elimination_reproduces_the_closed_netlist(m):
     np.testing.assert_allclose(
         evaluate_netlist(elim) @ ext.Z, np.eye(m), atol=1e-9
     )
+
+
+def _real_top_rows(m):
+    """The closed Z after the bootstrap pair: real top rows, so none is emitted."""
+    z = build_extension_closed(m).Z.copy()
+    for e in BOOTSTRAP:
+        _apply_element(z, e)
+    return z
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+@pytest.mark.parametrize(
+    "build", [build_extension_closed, build_extension_recursive, _real_top_rows]
+)
+def test_elimination_transfer_matrix_equals_evaluate_netlist_bit_for_bit(build, m):
+    net, transfer = eliminate(build(m))
+    assert net == decompose_by_elimination(build(m))
+    assert (net.elements[:2] == BOOTSTRAP) == (build is not _real_top_rows)
+    expected = evaluate_netlist(net)
+    assert transfer.shape == expected.shape
+    assert np.array_equal(transfer.view(np.int64), expected.view(np.int64))
 
 
 def test_elimination_accepts_raw_arrays_and_handles_identity():

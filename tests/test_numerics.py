@@ -120,24 +120,46 @@ def test_is_unitary_rejects_scaled_and_singular():
 
 @st.composite
 def square_matrices(draw):
-    """A complex n x n matrix: unitary, a scaled unitary or Gaussian, maybe with one NaN."""
+    """A complex n x n matrix: unitary, a scaled unitary or Gaussian, maybe with one NaN.
+
+    Only the rows of a drawn subset (none, some or all) have an imaginary
+    part, as only the top two rows of an extension do; the unitary kinds
+    are a real orthogonal matrix with those rows multiplied by phases, or
+    a generic complex unitary for all rows. The NaN lands in a real or a
+    complex row, in either part of its entry.
+    """
     # n >= 2: a 1 x 1 matrix has no off-diagonal entry to take the maximum of
     n = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subset = draw(st.sampled_from(["none", "some", "all"]))
+    complex_rows = {"none": [], "all": list(range(n))}.get(subset) or sorted(
+        draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    )
     kind = draw(st.sampled_from(["unitary", "scaled", "gaussian"]))
     if kind == "gaussian":
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    else:
+        a = rng.normal(size=(n, n)) + 0j
+        a.imag[complex_rows] = rng.normal(size=(len(complex_rows), n))
+    elif subset == "all":
         a = _random_unitary(rng, n)
-        if kind == "scaled":
-            a *= draw(st.floats(0.25, 2.0))
+    else:
+        a = np.linalg.qr(rng.normal(size=(n, n)))[0] + 0j
+        a[complex_rows] *= np.exp(1j * rng.uniform(0.1, 3.0, size=(len(complex_rows), 1)))
+    if kind == "scaled":
+        a *= draw(st.floats(0.25, 2.0))
     if draw(st.booleans()):
-        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = np.nan
+        nan = draw(st.sampled_from([complex(np.nan, 0.0), complex(0.5, np.nan)]))
+        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = nan
     return a
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=square_matrices())
+# a NaN in a real row, in the real and in the imaginary part of a complex row
+@example(a=np.array([[np.nan, 0.0], [0.0, 1j]]))
+@example(a=np.array([[1.0, 0.0], [np.nan, 1j]]))
+@example(a=np.array([[1.0, 0.0], [0.0, complex(0.0, np.nan)]]))
+# one complex row, where the imaginary part of AA† sets unitarity
+@example(a=np.array([[0.5 + 0.1j, 1.6 + 0.6j, -0.8 - 0.9j], [-0.1, 1.2, -1.5], [0.4, -0.3, -0.9]]))
 def test_gram_residuals_equal_the_dense_products(a):
     eye = np.eye(len(a))
     gram, outer = a.conj().T @ a, a @ a.conj().T

@@ -1,11 +1,19 @@
 """Tests for the mode-amplitude interferometer simulation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from phasepovm.compiler import decompose_closed, evaluate_netlist, triplet_angle
+from phasepovm.compiler import (
+    GivensRotation,
+    PhaseShift,
+    apply_netlist,
+    decompose_closed,
+    evaluate_netlist,
+    triplet_angle,
+)
 from phasepovm.naimark import build_extension_closed, column_order
 from phasepovm.numerics import is_unitary, rotate_rows
 from phasepovm.optics import (
@@ -18,6 +26,7 @@ from phasepovm.optics import (
     WaveplatePhase,
     _click_statistics,
     _folded_isometry,
+    _lower,
     apply_element,
     beam_splitter,
     build_direct_scheme,
@@ -27,7 +36,6 @@ from phasepovm.optics import (
     mode_index,
     simulate_direct,
     simulate_folded,
-    simulate_netlist,
     slot_distribution_to_csv,
     SlotDistribution,
 )
@@ -119,6 +127,42 @@ def _reference_isometry(scheme):
     for (path, pol), k in scheme.detector_map.items():
         rows[k] = mode_index(path, pol)
     return arr[rows]
+
+
+def _reference_lower(e, paths):
+    """Each element lowered through mode_index and a PPBS for each PBS."""
+
+    def rotation(i, j, angle):
+        if i < j:
+            return GivensRotation(i + 1, j + 1, angle)
+        return GivensRotation(j + 1, i + 1, -angle)
+
+    if isinstance(e, PBS):
+        e = PPBS(e.path_a, e.path_b, 0.0, np.pi / 2)
+    top = max(e.path_a, e.path_b) if isinstance(e, PPBS) else e.path
+    if top > paths:
+        raise ValueError(f"path {top} out of range ({paths} paths)")
+    if isinstance(e, PolarizationRotation):
+        return (rotation(mode_index(e.path, "H"), mode_index(e.path, "V"), e.angle),)
+    if isinstance(e, WaveplatePhase):
+        return (PhaseShift(mode_index(e.path, "V") + 1, e.phase),)
+    if isinstance(e, PPBS):
+        return tuple(
+            rotation(mode_index(e.path_a, pol), mode_index(e.path_b, pol), angle)
+            for pol, angle in (("H", e.angle_h), ("V", e.angle_v))
+        )
+    return ()
+
+
+def simulate_netlist(netlist, rho):
+    """Statistics of a compiled netlist driven on its first two modes.
+
+    Output port j carries the outcome given by the interleaved column
+    order, the same assignment the direct scheme realizes physically.
+    """
+    rows = np.argsort(column_order(netlist.M))  # outcome k is read at port rows[k]
+    v = apply_netlist(netlist, np.eye(netlist.M, 2, dtype=complex))[rows]
+    return _click_statistics(v, rho)
 
 
 def _same_bits(a, b):
@@ -262,6 +306,29 @@ def test_apply_element_matches_the_reference_dispatcher_bit_for_bit():
             _reference_apply(ref, e, paths)
             assert _same_bits(state.amplitudes, ref), e
     assert reversed_splitters > 100
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_lowering_equals_the_reference_lowering(m):
+    scheme = build_direct_scheme(m)
+    expected = tuple(x for e in scheme.elements for x in _reference_lower(e, scheme.n_paths))
+    got = scheme.netlist.elements
+    # repr tells a signed zero angle from 0.0, which == does not
+    assert got == expected and repr(got) == repr(expected)
+    # every kind, splitters from a higher path, and paths out of range
+    rng = np.random.default_rng(SEED + m)
+    cases = [(_random_element(rng, 5), int(rng.integers(2, 6))) for _ in range(200)]
+    below = (PolarizationRotation(0, 0.1), WaveplatePhase(0, 0.1), PPBS(2, 0, 0.1, 0.2), PBS(0, 1))
+    cases += [(e, 2) for e in below + (Detector(0, "H", 0),)]
+    for e, paths in cases:
+        try:
+            expected = _reference_lower(e, paths)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _lower(e, paths)
+            continue
+        got = _lower(e, paths)
+        assert got == expected and repr(got) == repr(expected), e
 
 
 def test_apply_element_rejects_out_of_range_paths():
