@@ -40,6 +40,7 @@ from .compiler import (  # noqa: F401
     decompose_closed,
     eliminate,
     evaluate_netlist,
+    is_json_number,
     netlist_from_json_dict,
     netlist_to_json_dict,
     netlists_equal,
@@ -55,12 +56,8 @@ from .naimark import (
 from .numerics import row_slices, write_csv_rows, write_json_rows
 from .optics import (
     build_direct_scheme,
-    distribution_to_csv,
-    distribution_to_json_dict,
     simulate_direct,
     simulate_folded,
-    slot_distribution_to_csv,
-    slot_distribution_to_json_dict,
 )
 from .povm import (
     analytic_phase_distribution,
@@ -223,6 +220,9 @@ def load_density(args: argparse.Namespace) -> np.ndarray:
     with open(args.state_file, encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
+        # the netlist parser's rule: no bool, nothing beyond a finite float64
+        if not all(is_json_number(x) for row in raw for pair in row for x in pair):
+            raise ValueError("every entry must be a finite number")
         rho = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"state file must hold a 2x2 matrix of [re, im] pairs: {exc}") from exc
@@ -351,9 +351,7 @@ def _simulations(m: int, rho, run_folded: bool):
     folded = None
     if run_folded:
         folded = simulate_folded(m, rho)
-        residuals["folded_vs_direct"] = _max_gap(
-            folded.flatten().probabilities, direct.probabilities
-        )
+        residuals["folded_vs_direct"] = _max_gap(folded.probabilities, direct.probabilities)
     return residuals, direct, folded
 
 
@@ -361,12 +359,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     run_folded = args.M > 2 or args.scheme == "folded"
     residuals, direct, folded = _simulations(args.M, load_density(args), run_folded)
     passed = _judge(residuals, args.tolerance)
-    # the written distribution is the very array that was judged
+    # the written distribution is the very array that was judged; slot
+    # k + 1 of the folded scheme holds outcomes k (H) and k + M/2 (V)
     if args.scheme == "folded":
-        dist, to_json, to_csv = folded, slot_distribution_to_json_dict, slot_distribution_to_csv
+        pairs = folded.probabilities.reshape(2, args.M // 2).T.tolist()
+        payload = {"M": args.M, "slots": len(pairs), "pairs": pairs}
+        header, rows = "slot,p_h,p_v", enumerate(pairs, 1)
     else:
-        dist, to_json, to_csv = direct, distribution_to_json_dict, distribution_to_csv
-    _emit(_json_text(to_json(dist)) if args.output_format == "json" else to_csv(dist), args.out)
+        probs = direct.probabilities.tolist()
+        payload = {"M": args.M, "probabilities": probs}
+        header, rows = "k,probability", enumerate([p] for p in probs)
+    if args.output_format == "json":
+        text = _json_text(payload)
+    else:
+        text = "\n".join([header] + [",".join(map(repr, (i, *r))) for i, r in rows]) + "\n"
+    _emit(text, args.out)
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 

@@ -264,15 +264,19 @@ _JSON_ELEMENTS = {
 }
 
 
+def is_json_number(value) -> bool:
+    """True iff a parsed JSON value is a number, not a bool, that fits a finite float64."""
+    return isinstance(value, Real) and type(value) is not bool and abs(value) <= sys.float_info.max
+
+
 def _json_field(obj: dict, key: str, kind: type, index: int | None = None) -> int | float:
-    """obj[key] as an int (no bool), or as a real that fits a finite float64 (no NaN).
+    """obj[key] as a JSON number (see is_json_number), and an integral one for an int.
 
     ``index`` is the element's position, or None for the netlist itself;
     the error message names it, and is built only on failure.
     """
     value = obj.get(key)
-    ok = isinstance(value, Integral if kind is int else Real) and not isinstance(value, bool)
-    if not ok or (kind is float and not abs(value) <= sys.float_info.max):
+    if not (is_json_number(value) and (kind is float or isinstance(value, Integral))):
         where = "netlist" if index is None else f"netlist element {index} {obj!r}"
         raise ValueError(f"{where}: needs a finite {kind.__name__} {key!r}, got {value!r}")
     return kind(value)

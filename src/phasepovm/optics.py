@@ -6,7 +6,9 @@ a state is the list of creation-operator coefficients over those slots.
 Each element lowers to netlist elements on netlist modes mode_index + 1:
 a polarization rotation to W(H, V), a waveplate to S(V), a PPBS to
 W(H_a, H_b) then W(V_a, V_b), a PBS to that PPBS at angles (0, pi/2),
-and a detector to nothing; compiler.apply_netlist runs every layout.
+and a detector to nothing; compiler.apply_netlist runs the direct
+layout, and the folded layout keeps its own slot loop as the
+independent cross-check.
 
 Two layouts realize the M-outcome measurement:
 
@@ -326,34 +328,6 @@ def build_folded_schedule(m: int) -> list[FoldedSlotSetting]:
     ]
 
 
-@dataclass(frozen=True)
-class SlotDistribution:
-    """Click probabilities per time slot of the folded scheme.
-
-    probabilities has shape (M/2, 2); row k holds (P_H, P_V) for slot
-    k+1, which map to outcomes k and k + M/2; (S, M/2, 2) for S states.
-    """
-
-    M: int
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.ndim not in (2, 3) or p.shape[-2:] != (self.M // 2, 2):
-            raise ValueError(
-                f"expected shape {(self.M // 2, 2)}, got {p.shape}"
-            )
-        object.__setattr__(self, "probabilities", p)
-
-    @property
-    def slots(self) -> int:
-        return self.M // 2
-
-    def flatten(self) -> OutcomeDistribution:
-        p = self.probabilities.swapaxes(-2, -1)
-        return OutcomeDistribution(M=self.M, probabilities=p.reshape(*p.shape[:-2], self.M))
-
-
 def _folded_isometry(m: int) -> np.ndarray:
     """M x 2 map V of the loop scheme, unrolled slot by slot.
 
@@ -381,36 +355,9 @@ def _folded_isometry(m: int) -> np.ndarray:
     return clicks.transpose(1, 0, 2).reshape(m, 2)
 
 
-def simulate_folded(m: int, rho) -> SlotDistribution:
-    """Time-slot-unrolled simulation of the loop scheme (see _folded_isometry)."""
-    m = validate_outcome_count(m)
-    p = _click_statistics(_folded_isometry(m), rho).probabilities
-    p = p.reshape(*p.shape[:-1], 2, m // 2).swapaxes(-2, -1)
-    return SlotDistribution(M=m, probabilities=p)
+def simulate_folded(m: int, rho) -> OutcomeDistribution:
+    """The loop scheme unrolled slot by slot (see _folded_isometry), in outcome order.
 
-
-def distribution_to_json_dict(dist: OutcomeDistribution) -> dict:
-    return {"M": dist.M, "probabilities": [float(p) for p in dist.probabilities]}
-
-
-def distribution_to_csv(dist: OutcomeDistribution) -> str:
-    lines = ["k,probability"]
-    for k, p in enumerate(dist.probabilities):
-        lines.append(f"{k},{float(p)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def slot_distribution_to_json_dict(sd: SlotDistribution) -> dict:
-    return {
-        "M": sd.M,
-        "slots": sd.slots,
-        "pairs": [[float(a), float(b)] for a, b in sd.probabilities],
-    }
-
-
-def slot_distribution_to_csv(sd: SlotDistribution) -> str:
-    lines = ["slot,p_h,p_v"]
-    for k in range(sd.slots):
-        ph, pv = sd.probabilities[k]
-        lines.append(f"{k + 1},{float(ph)!r},{float(pv)!r}")
-    return "\n".join(lines) + "\n"
+    Slot k+1's H click is outcome k, and its V click is outcome k + M/2.
+    """
+    return _click_statistics(_folded_isometry(m), rho)

@@ -225,7 +225,7 @@ def test_acceptance_5_statistics_equivalence(capsys):
             worst_direct = max(worst_direct, float(np.max(np.abs(direct - analytic))))
             if m > 2:
                 # M=2 has no folded layout by contract (no loop to fold)
-                folded = simulate_folded(m, rho).flatten().probabilities
+                folded = simulate_folded(m, rho).probabilities
                 worst_folded = max(worst_folded, float(np.max(np.abs(folded - direct))))
     ok = worst_direct <= 1e-10 and worst_folded <= 1e-10
     _report(

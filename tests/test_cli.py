@@ -12,12 +12,13 @@ import phasepovm.cli as cli
 import phasepovm.naimark as naimark
 from phasepovm.cli import main
 from phasepovm.naimark import build_extension_closed
-from phasepovm.optics import SlotDistribution
+from phasepovm.optics import build_direct_scheme, simulate_direct, simulate_folded
 from phasepovm.povm import (
     OutcomeDistribution,
     analytic_phase_distribution,
     guessing_probability,
     psi_k,
+    pure_phase_state,
 )
 
 
@@ -248,6 +249,39 @@ def test_simulate_folded_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_files_equal_the_reference_encodings(tmp_path, capsys):
+    # reference: the library's distribution, encoded entry by entry; slot s
+    # of the folded scheme pairs outcomes s - 1 (H) and s - 1 + M/2 (V)
+    rho = pure_phase_state(0.7)
+    for m in (2, 8, 256):
+        layouts = {"direct": simulate_direct(build_direct_scheme(m), rho).probabilities}
+        if m >= 4:
+            layouts["folded"] = simulate_folded(m, rho).probabilities
+        for scheme, probs in layouts.items():
+            if scheme == "direct":
+                payload = {"M": m, "probabilities": [float(p) for p in probs]}
+                lines = ["k,probability"] + [f"{k},{float(p)!r}" for k, p in enumerate(probs)]
+            else:
+                pairs = [
+                    [float(probs[s - 1]), float(probs[s - 1 + m // 2])]
+                    for s in range(1, m // 2 + 1)
+                ]
+                payload = {"M": m, "slots": m // 2, "pairs": pairs}
+                lines = ["slot,p_h,p_v"]
+                lines += [f"{s},{h!r},{v!r}" for s, (h, v) in enumerate(pairs, 1)]
+            expected = {
+                "json": json.dumps(payload, indent=2) + "\n",
+                "csv": "\n".join(lines) + "\n",
+            }
+            for fmt, text in expected.items():
+                out = tmp_path / f"sim.{fmt}"
+                args = ("simulate", "--M", str(m), "--phi", "0.7", "--scheme", scheme)
+                assert run(*args, "--format", fmt, "--out", str(out)) == 0
+                assert out.read_text(encoding="utf-8") == text
+                assert run(*args, "--format", fmt) == 0
+                assert capsys.readouterr().out == text
+
+
 def test_simulate_both_reports_discrepancy(capsys):
     assert run("simulate", "--M", "8", "--phi", "1.0") == 0
     err = capsys.readouterr().err
@@ -314,6 +348,17 @@ def test_state_file_validation_failures(tmp_path, capsys):
     assert run("simulate", "--M", "4", "--state-file", str(notjson)) == 1
     assert run("simulate", "--M", "4", "--state-file", str(tmp_path / "missing.json")) == 1
     capsys.readouterr()
+    # a bool is not a number, and an integer beyond float64 must not overflow
+    boolean = [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]
+    huge = "[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [0, 0]]]"
+    for name, text in (("bool.json", json.dumps(boolean)), ("huge.json", huge)):
+        f = tmp_path / name
+        f.write_text(text)
+        for command in ("simulate", "compare"):
+            assert run(command, "--M", "4", "--state-file", str(f)) == 1
+            err = capsys.readouterr().err
+            assert "error: state file must hold a 2x2 matrix of [re, im] pairs" in err
+            assert "Traceback" not in err
 
 
 def test_phi_and_state_file_together_rejected(tmp_path, capsys):
@@ -446,7 +491,7 @@ def test_verify_exits_2_when_the_recursion_cannot_complete(monkeypatch, capsys):
 
 def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
     def nan_folded(m, rho):
-        return SlotDistribution(M=m, probabilities=np.full((m // 2, 2), np.nan))
+        return OutcomeDistribution(M=m, probabilities=np.full(m, np.nan))
 
     monkeypatch.setattr(cli, "simulate_folded", nan_folded)
     assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "direct") == 2

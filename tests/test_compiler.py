@@ -274,6 +274,7 @@ BAD_ENTRIES = [
     {"kind": "phase", "u": 2, "phi": -float("inf")},
     {"kind": "phase", "u": 2, "phi": "0.1"},
     {"kind": "phase", "u": 2, "phi": 10**400},
+    {**GOOD_GIVENS, "v": 10**400},
 ]
 
 

@@ -36,6 +36,6 @@ def test_completeness_covariance_and_simulators_agree(m, phi, seed):
     np.testing.assert_allclose(shifted.probabilities, np.roll(pure, 1), rtol=0, atol=1e-12)
 
     direct = simulate_direct(build_direct_scheme(m), rho).probabilities
-    folded = simulate_folded(m, rho).flatten().probabilities
+    folded = simulate_folded(m, rho).probabilities
     np.testing.assert_allclose(direct, p, rtol=0, atol=1e-10)
     np.testing.assert_allclose(folded, p, rtol=0, atol=1e-10)

@@ -31,16 +31,11 @@ from phasepovm.optics import (
     beam_splitter,
     build_direct_scheme,
     build_folded_schedule,
-    distribution_to_csv,
-    distribution_to_json_dict,
     mode_index,
     simulate_direct,
     simulate_folded,
-    slot_distribution_to_csv,
-    SlotDistribution,
 )
 from phasepovm.povm import (
-    analytic_phase_distribution,
     outcome_distribution,
     outcome_probability,
     phase_povm,
@@ -474,8 +469,9 @@ def test_simulate_direct_matches_the_eigenvector_reference(m):
 @pytest.mark.parametrize("m", [4, 8, 256])
 def test_simulate_folded_matches_the_eigenvector_reference(m):
     for rho in _seeded_states(SEED + m) + [np.eye(2) / 2.0]:
+        # slot k+1 holds outcomes k (H) and k + M/2 (V)
         np.testing.assert_allclose(
-            simulate_folded(m, rho).probabilities,
+            simulate_folded(m, rho).probabilities.reshape(2, m // 2).T,
             _reference_folded(m, rho),
             rtol=0,
             atol=1e-15,
@@ -644,9 +640,7 @@ def test_folded_equals_direct_on_random_states(m):
         rho = random_density(rng)
         folded = simulate_folded(m, rho)
         direct = simulate_direct(scheme, rho)
-        np.testing.assert_allclose(
-            folded.flatten().probabilities, direct.probabilities, atol=1e-10
-        )
+        np.testing.assert_allclose(folded.probabilities, direct.probabilities, atol=1e-10)
         assert abs(folded.probabilities.sum() - 1.0) < 1e-10
 
 
@@ -658,15 +652,9 @@ def test_folded_isometry_is_an_isometry(m):
 
 
 def test_folded_maximally_mixed_slots_are_uniform_pairs():
-    sd = simulate_folded(8, np.eye(2) / 2.0)
-    np.testing.assert_allclose(sd.probabilities, np.full((4, 2), 1.0 / 8.0), atol=1e-12)
-    assert sd.slots == 4
-
-
-def test_slot_distribution_shape_checked():
-    for shape in [(3, 2), (4, 3), (5, 3, 2), (5, 4, 3), (2, 5, 4, 2), (8,)]:
-        with pytest.raises(ValueError):
-            SlotDistribution(M=8, probabilities=np.zeros(shape))
+    p = simulate_folded(8, np.eye(2) / 2.0).probabilities
+    assert p.shape == (8,)
+    np.testing.assert_allclose(p.reshape(2, 4).T, np.full((4, 2), 1.0 / 8.0), atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 256, 1024])
@@ -680,31 +668,9 @@ def test_a_stack_of_states_equals_the_per_state_calls_bit_for_bit(m):
         "simulate_netlist": lambda rho: simulate_netlist(net, rho),
     }
     if m > 2:
-        layers["simulate_folded"] = lambda rho: simulate_folded(m, rho).flatten()
-        slots = simulate_folded(m, rhos).probabilities
-        assert slots.shape == (20, m // 2, 2)
-        for rho, row in zip(rhos, slots):
-            assert np.array_equal(row, simulate_folded(m, rho).probabilities)
+        layers["simulate_folded"] = lambda rho: simulate_folded(m, rho)
     for name, run in layers.items():
         stacked = run(rhos).probabilities
         assert stacked.shape == (20, m), name
         for s, rho in enumerate(rhos):
             assert np.array_equal(stacked[s], run(rho).probabilities), (name, s)
-
-
-def test_distribution_serializers():
-    dist = analytic_phase_distribution(4, 0.0)
-    d = distribution_to_json_dict(dist)
-    assert d["M"] == 4
-    assert len(d["probabilities"]) == 4
-    csv = distribution_to_csv(dist)
-    lines = csv.split("\n")
-    assert lines[0] == "k,probability"
-    assert csv.endswith("\n")
-    assert float(lines[1].split(",")[1]) == pytest.approx(0.5)
-
-    sd = simulate_folded(4, pure_phase_state(0.3))
-    slot_csv = slot_distribution_to_csv(sd)
-    rows = slot_csv.strip().split("\n")
-    assert rows[0] == "slot,p_h,p_v"
-    assert len(rows) == 1 + sd.slots
