@@ -218,7 +218,10 @@ def load_density(args: argparse.Namespace) -> np.ndarray:
     if args.state_file is None:
         return pure_phase_state(args.phi)
     with open(args.state_file, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError as exc:  # nested too deep to be a 2x2 matrix
+            raise ValueError(f"state file must hold a 2x2 matrix of [re, im] pairs: {exc}") from exc
     try:
         # the netlist parser's rule: no bool, nothing beyond a finite float64
         if not all(is_json_number(x) for row in raw for pair in row for x in pair):
@@ -425,8 +428,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.update(verify_naimark(closed, seed=args.seed))
 
     net = decompose_closed(args.M)
-    # one sweep gives the elimination netlist and its transfer matrix
-    elim, gap = eliminate(closed)
+    # one sweep gives the elimination netlist and its transfer matrix, judged below
+    elim, gap, _ = eliminate(closed)
     # one pass of the closed netlist N over [I | Z] gives N and NZ
     applied = apply_netlist(net, np.hstack([np.eye(args.M), closed.Z]))
     net_matrix, round_trip = applied[:, : args.M], applied[:, args.M :]

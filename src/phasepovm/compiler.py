@@ -137,10 +137,10 @@ def evaluate_netlist(n: Netlist) -> np.ndarray:
     return apply_netlist(n, np.eye(n.M, dtype=complex))
 
 
-def eliminate(z) -> tuple[Netlist, np.ndarray]:
+def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
     """Factorize a unitary by eliminating it down to the identity.
 
-    Accepts an ExtensionMatrix or a plain square unitary array. If the
+    Accepts an ExtensionMatrix or a plain square array. If the
     top two rows carry imaginary parts, the fixed bootstrap pair
     W(1,2,pi/4) then S(2,pi/2) makes them real. Afterwards the
     below-diagonal entries are zeroed in the block schedule
@@ -150,28 +150,17 @@ def eliminate(z) -> tuple[Netlist, np.ndarray]:
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
 
-    Returns that netlist and its transfer matrix. The rotations sweep
-    [Z | I] once, and every column takes the same arithmetic, so the
-    right half ends as evaluate_netlist(netlist), bit for bit, without
-    a second pass.
-
-    Unitarity is judged at COMPARISON_TOL on numerics.gram_residuals, the
-    copy an ExtensionMatrix caches or one formed from a plain array. Raises
-    ValueError for non-unitary input and RuntimeError (carrying the
-    residual) if the schedule does not reach the identity, which happens
-    for unitaries outside the extension family.
+    Returns that netlist, its transfer matrix (evaluate_netlist of it, bit
+    for bit: one sweep of [Z | I] gives every column the same arithmetic)
+    and the max-abs entry of the swept Z minus the identity. It raises only
+    for a shape that is not square, even and >= 2; decompose_by_elimination judges.
     """
-    ext = z if isinstance(z, ExtensionMatrix) else None
-    z = np.asarray(z if ext is None else ext.Z, dtype=complex)
+    z = np.asarray(z.Z if isinstance(z, ExtensionMatrix) else z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {z.shape}")
     m = z.shape[0]
     if m < 2 or m % 2 != 0:
         raise ValueError(f"mode count must be even and >= 2, got {m}")
-    # a NaN residual must fail, so test "<=" rather than ">"
-    residuals = gram_residuals(z) if ext is None else ext.gram_residuals
-    if not residuals["unitarity"] <= COMPARISON_TOL:
-        raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
 
     a = np.hstack([z, np.eye(m)])
     left = a[:, :m]
@@ -199,16 +188,26 @@ def eliminate(z) -> tuple[Netlist, np.ndarray]:
     # in place: [Z | I] is the largest array alive here
     left[np.diag_indices(m)] -= 1.0
     residual = float(np.max(np.abs(left)))
+    return Netlist(M=m, elements=tuple(elements)), a[:, m:].copy(), residual
+
+
+def decompose_by_elimination(z) -> Netlist:
+    """The netlist of eliminate(z), once it passes both judgments.
+
+    ValueError for a bad shape, or for unitarity above COMPARISON_TOL in
+    numerics.gram_residuals (an ExtensionMatrix's cached copy); RuntimeError,
+    with the residual, for an identity miss above ELIMINATION_RESIDUAL_TOL.
+    """
+    net, _, residual = eliminate(z)
+    # a NaN residual must fail, so test "<=" rather than ">"
+    gram = z.gram_residuals if isinstance(z, ExtensionMatrix) else gram_residuals(z)
+    if not gram["unitarity"] <= COMPARISON_TOL:
+        raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
     if not residual <= ELIMINATION_RESIDUAL_TOL:
         raise RuntimeError(
             f"elimination did not reach the identity, residual {residual:.3e}"
         )
-    return Netlist(M=m, elements=tuple(elements)), a[:, m:].copy()
-
-
-def decompose_by_elimination(z) -> Netlist:
-    """The netlist of eliminate(z), which documents the algorithm and its errors."""
-    return eliminate(z)[0]
+    return net
 
 
 def canonical_angle(a: float) -> float:

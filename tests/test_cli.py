@@ -348,16 +348,19 @@ def test_state_file_validation_failures(tmp_path, capsys):
     assert run("simulate", "--M", "4", "--state-file", str(notjson)) == 1
     assert run("simulate", "--M", "4", "--state-file", str(tmp_path / "missing.json")) == 1
     capsys.readouterr()
-    # a bool is not a number, and an integer beyond float64 must not overflow
+    # a bool is not a number, an integer beyond float64 must not overflow,
+    # and nesting too deep for the JSON parser is not a failed verification
     boolean = [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]
     huge = "[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [0, 0]]]"
-    for name, text in (("bool.json", json.dumps(boolean)), ("huge.json", huge)):
+    files = (("bool.json", json.dumps(boolean)), ("huge.json", huge), ("deep.json", "[" * 100_000))
+    for name, text in files:
         f = tmp_path / name
         f.write_text(text)
         for command in ("simulate", "compare"):
             assert run(command, "--M", "4", "--state-file", str(f)) == 1
             err = capsys.readouterr().err
             assert "error: state file must hold a 2x2 matrix of [re, im] pairs" in err
+            assert "verification failure" not in err
             assert "Traceback" not in err
 
 

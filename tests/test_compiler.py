@@ -172,7 +172,7 @@ def _real_top_rows(m):
     "build", [build_extension_closed, build_extension_recursive, _real_top_rows]
 )
 def test_elimination_transfer_matrix_equals_evaluate_netlist_bit_for_bit(build, m):
-    net, transfer = eliminate(build(m))
+    net, transfer, _ = eliminate(build(m))
     assert net == decompose_by_elimination(build(m))
     assert (net.elements[:2] == BOOTSTRAP) == (build is not _real_top_rows)
     expected = evaluate_netlist(net)
@@ -184,6 +184,17 @@ def test_elimination_accepts_raw_arrays_and_handles_identity():
     net = decompose_by_elimination(np.eye(6, dtype=complex))
     assert net.elements == ()
     np.testing.assert_allclose(evaluate_netlist(net), np.eye(6))
+
+
+def test_eliminate_reports_its_residual_and_judges_nothing():
+    # 2I emits no rotation and misses the identity by 1 on the diagonal
+    assert eliminate(2.0 * np.eye(4))[2] == 1.0
+    z = np.eye(4, dtype=complex)
+    z[2, 1] = np.nan
+    assert np.isnan(eliminate(z)[2])
+    for shape in ((3, 5), (3, 3)):
+        with pytest.raises(ValueError):
+            eliminate(np.eye(*shape))
 
 
 def test_elimination_rejects_non_unitary_input():
