@@ -46,14 +46,14 @@ from .compiler import (  # noqa: F401
     netlists_equal,
 )
 from .naimark import (
-    NUM_STATES,
     build_extension_closed,
     build_extension_recursive,
+    random_states,
     verify_naimark,
     write_extension_csv,
     write_extension_json,
 )
-from .numerics import row_slices, write_csv_rows, write_json_rows
+from .numerics import identity_gap, row_slices, write_csv_rows, write_json_rows
 from .optics import (
     build_direct_scheme,
     simulate_direct,
@@ -66,7 +66,6 @@ from .povm import (
     outcome_distribution,
     phase_povm,
     pure_phase_state,
-    random_density,
     validate_density,
     validate_outcome_count,
 )
@@ -310,13 +309,20 @@ def _extension_paths(args: argparse.Namespace) -> tuple[Path, Path]:
     )
 
 
+def _extension_checks(m: int, seed: int):
+    """(closed, checks, recursive): closed_vs_recursive, then verify_naimark's five."""
+    closed = build_extension_closed(m)
+    # the Gram work runs before the recursive Z exists, so it never holds both
+    naimark_checks = verify_naimark(closed, seed=seed)
+    recursive = build_extension_recursive(m)
+    checks = {"closed_vs_recursive": _max_gap(closed.Z, recursive.Z), **naimark_checks}
+    return closed, checks, recursive
+
+
 def cmd_extend(args: argparse.Namespace) -> int:
     # refuses a directory before anything is built
     path_closed, path_recursive = _extension_paths(args)
-    closed = build_extension_closed(args.M)
-    recursive = build_extension_recursive(args.M)
-    checks = {"closed_vs_recursive": _max_gap(closed.Z, recursive.Z)}
-    checks.update(verify_naimark(closed, seed=args.seed))
+    closed, checks, recursive = _extension_checks(args.M, args.seed)
 
     write = write_extension_json if args.output_format == "json" else write_extension_csv
     for ext, path in ((closed, path_closed), (recursive, path_recursive)):
@@ -340,7 +346,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         # the check covers the written bytes, parsed back, not the object
         written = netlist_from_json_dict(json.loads(text))
         round_trip = apply_netlist(written, build_extension_closed(args.M).Z.copy())
-        checks = {"netlist_round_trip": _max_gap(round_trip, np.eye(args.M))}
+        checks = {"netlist_round_trip": identity_gap(round_trip)}
         if not _judge(checks, DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance):
             return EXIT_VERIFICATION
     return EXIT_OK
@@ -419,13 +425,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Whole-pipeline battery: extension, netlist, and both simulators."""
-    checks: dict[str, float] = {}
-
-    closed = build_extension_closed(args.M)
-    # the recursive Z is needed for this one number only, so it is not kept
-    checks["closed_vs_recursive"] = _max_gap(closed.Z, build_extension_recursive(args.M).Z)
-
-    checks.update(verify_naimark(closed, seed=args.seed))
+    closed, checks = _extension_checks(args.M, args.seed)[:2]  # the recursive Z is not kept
 
     net = decompose_closed(args.M)
     # one sweep gives the elimination netlist and its transfer matrix, judged below
@@ -433,17 +433,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # one pass of the closed netlist N over [I | Z] gives N and NZ
     applied = apply_netlist(net, np.hstack([np.eye(args.M), closed.Z]))
     net_matrix, round_trip = applied[:, : args.M], applied[:, args.M :]
-    # both differences are taken in place: [I | Z] and the elimination's
-    # matrix are alive here, and a temporary would raise the peak memory
-    round_trip[np.diag_indices(args.M)] -= 1.0
-    checks["netlist_round_trip"] = float(np.max(np.abs(round_trip)))
+    # both differences are taken in place: [I | Z] and the elimination's matrix are alive
+    checks["netlist_round_trip"] = identity_gap(round_trip)
     gap -= net_matrix
     checks["elimination_vs_closed_matrix"] = float(np.max(np.abs(gap)))
     structural = netlists_equal(net, elim, tol=args.tolerance)
 
-    rng = np.random.default_rng(args.seed)
-    rhos = [random_density(rng) for _ in range(NUM_STATES)]
-    checks.update(_simulations(args.M, rhos, args.M > 2)[0])
+    checks.update(_simulations(args.M, random_states(args.seed), args.M > 2)[0])
 
     checks["guessing_probability"] = abs(guessing_probability(args.M) - 2.0 / args.M)
 

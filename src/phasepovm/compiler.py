@@ -26,7 +26,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .naimark import ExtensionMatrix
-from .numerics import COMPARISON_TOL, gram_residuals, rotate_rows
+from .numerics import COMPARISON_TOL, gram_residuals, identity_gap, rotate_rows
 from .povm import validate_outcome_count
 
 # Entries at or below this magnitude count as already eliminated and
@@ -137,6 +137,11 @@ def evaluate_netlist(n: Netlist) -> np.ndarray:
     return apply_netlist(n, np.eye(n.M, dtype=complex))
 
 
+def _matrix(z) -> np.ndarray:
+    """The complex array of an ExtensionMatrix or of a plain array."""
+    return np.asarray(z.Z if isinstance(z, ExtensionMatrix) else z, dtype=complex)
+
+
 def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
     """Factorize a unitary by eliminating it down to the identity.
 
@@ -155,7 +160,7 @@ def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
     and the max-abs entry of the swept Z minus the identity. It raises only
     for a shape that is not square, even and >= 2; decompose_by_elimination judges.
     """
-    z = np.asarray(z.Z if isinstance(z, ExtensionMatrix) else z, dtype=complex)
+    z = _matrix(z)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {z.shape}")
     m = z.shape[0]
@@ -185,9 +190,7 @@ def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
             _apply_element(a, g)
             elements.append(g)
 
-    # in place: [Z | I] is the largest array alive here
-    left[np.diag_indices(m)] -= 1.0
-    residual = float(np.max(np.abs(left)))
+    residual = identity_gap(left)  # in place: [Z | I] is the largest array alive here
     return Netlist(M=m, elements=tuple(elements)), a[:, m:].copy(), residual
 
 
@@ -195,13 +198,13 @@ def decompose_by_elimination(z) -> Netlist:
     """The netlist of eliminate(z), once it passes both judgments.
 
     ValueError for a bad shape, or for unitarity above COMPARISON_TOL in
-    numerics.gram_residuals (an ExtensionMatrix's cached copy); RuntimeError,
-    with the residual, for an identity miss above ELIMINATION_RESIDUAL_TOL.
+    numerics.gram_residuals; RuntimeError, with the residual, for an
+    identity miss above ELIMINATION_RESIDUAL_TOL.
     """
+    z = _matrix(z)
     net, _, residual = eliminate(z)
     # a NaN residual must fail, so test "<=" rather than ">"
-    gram = z.gram_residuals if isinstance(z, ExtensionMatrix) else gram_residuals(z)
-    if not gram["unitarity"] <= COMPARISON_TOL:
+    if not gram_residuals(z)["unitarity"] <= COMPARISON_TOL:
         raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")
     if not residual <= ELIMINATION_RESIDUAL_TOL:
         raise RuntimeError(

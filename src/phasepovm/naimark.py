@@ -20,8 +20,6 @@ form and the recursion agree only in this build order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -60,7 +58,7 @@ class ExtensionMatrix:
     column_order[j] is the outcome index of column j, fixed to the
     interleaved packing; the top two entries of the column for outcome
     k equal X_k = sqrt(2/M) psi_k. Z is made read-only (not copied) on
-    construction, so the residuals cached from it cannot go stale.
+    construction, so no check can change the matrix that the others read.
     """
 
     M: int
@@ -73,11 +71,6 @@ class ExtensionMatrix:
     def column_for_outcome(self, k: int) -> np.ndarray:
         j = self.column_order.index(k)
         return self.Z[:, j]
-
-    @cached_property
-    def gram_residuals(self) -> MappingProxyType:
-        """numerics.gram_residuals of Z, formed once per matrix; read-only."""
-        return MappingProxyType(gram_residuals(self.Z))
 
 
 def _closed_form_columns(m: int, ks) -> np.ndarray:
@@ -187,6 +180,12 @@ def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
     return np.outer(col, col.conj())
 
 
+def random_states(seed: int) -> np.ndarray:
+    """The NUM_STATES random qubit states of ``seed``, as one (NUM_STATES, 2, 2) stack."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_density(rng) for _ in range(NUM_STATES)])
+
+
 def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     """Measure how well an extension satisfies all its constraints.
 
@@ -203,18 +202,17 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     Never raises on a bad matrix; every violation shows up as a
     residual, and a NaN residual fails any ``<= tol`` test. The probability
     check compares the qubit-level statistics Tr[Pi_k rho] against the
-    extended-space statistics Tr[P_k (rho_A tensor rho)] on NUM_STATES
-    random qubit states drawn from a generator seeded with ``seed``.
+    extended-space statistics Tr[P_k (rho_A tensor rho)] on the states
+    random_states(seed). The Gram residuals are numerics.gram_residuals(Z).
     """
-    gram = ext.gram_residuals
+    gram = gram_residuals(ext.Z)
     # reference[j] is Pi_k for the outcome k that column j carries
     reference = phase_povm(ext.M).elements[list(ext.column_order)]
     top = ext.Z[:2].T
     blocks = top[:, :, None] * top.conj()[:, None, :]
     max_block = float(np.max(np.abs(blocks - reference)))
 
-    rng = np.random.default_rng(seed)
-    rhos = np.array([random_density(rng) for _ in range(NUM_STATES)])
+    rhos = random_states(seed)
     # The lifted state |e1><e1| x rho is zero outside its top 2x2 block,
     # so Tr[P_j lifted] = z[:2, j]† rho z[:2, j]: O(M) per state
     extended = np.einsum("ja,sab,jb->sj", top.conj(), rhos, top).real

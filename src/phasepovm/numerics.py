@@ -114,9 +114,13 @@ def gram_residuals(a) -> dict[str, float]:
     }
 
 
-def is_unitary(a) -> bool:
-    """True iff A†A - I and AA† - I are within COMPARISON_TOL (see gram_residuals)."""
-    return bool(gram_residuals(a)["unitarity"] <= COMPARISON_TOL)
+def identity_gap(a: np.ndarray) -> float:
+    """Max-abs entry of A - I for a square array A, which is left holding A - I.
+
+    No second M x M array is formed; np.max keeps a NaN, which fails ``<= tol``.
+    """
+    _minus_identity(a)
+    return float(np.max(np.abs(a)))
 
 
 def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:

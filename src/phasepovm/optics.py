@@ -297,35 +297,21 @@ def simulate_direct(scheme: Scheme, rho) -> OutcomeDistribution:
     return _click_statistics(scheme.isometry, rho)
 
 
-@dataclass(frozen=True)
-class FoldedSlotSetting:
-    """Loop configuration during one time slot (1-based slot index)."""
+def build_folded_schedule(m: int) -> list[float]:
+    """Tap fraction of each active slot of the folded (loop) scheme.
 
-    slot: int
-    bs_angle: float
-    loop_rotation: float
-
-
-def build_folded_schedule(m: int) -> list[FoldedSlotSetting]:
-    """Per-slot splitter settings for the folded (loop) scheme.
-
-    Slot k+1 (k = 0..M/2-2) uses the block angle theta_k and the loop
-    polarization rotation pi + pi/M. In the final slot M/2 the splitter
-    is set fully transmissive (EXIT_SLOT_BS_ANGLE), sending every
-    remaining amplitude out to the detectors, so only M/2 - 1 active
-    settings are needed. M=2 needs no loop at all and is rejected.
+    Slot k+1 (k = 0..M/2-2) lets out the share 2/(M - 2k) of the loop's
+    remaining probability, so each slot carries 2/M; its splitter
+    transmits sqrt(tap) and keeps sqrt(1 - tap). The taps come from the
+    outcome weights, not from triplet_angle, so the direct and folded
+    layouts cross-check their splitters too. Every slot rotates the loop
+    polarization by pi + pi/M, and the final slot M/2 sends everything
+    out (EXIT_SLOT_BS_ANGLE). M=2 needs no loop and is rejected.
     """
     m = validate_outcome_count(m)
     if m == 2:
         raise ValueError("M=2 has a single block and no loop; use the direct scheme")
-    return [
-        FoldedSlotSetting(
-            slot=k + 1,
-            bs_angle=triplet_angle(m, k),
-            loop_rotation=float(np.pi + np.pi / m),
-        )
-        for k in range(m // 2 - 1)
-    ]
+    return [2.0 / (m - 2 * k) for k in range(m // 2 - 1)]
 
 
 def _folded_isometry(m: int) -> np.ndarray:
@@ -339,18 +325,17 @@ def _folded_isometry(m: int) -> np.ndarray:
     leaving zero residual norm in the loop. This builds V independently
     of the direct scheme's element list, so the two cross-check.
     """
-    schedule = build_folded_schedule(m)
+    taps = build_folded_schedule(m)  # validates m first
     # initial block: polarization rotation pi/4 then waveplate pi/2
     hv = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
     hv[1] *= np.exp(-1j * np.pi / 2)
     # clicks[k] is the exiting pair of slot k+1: outcomes k (H) and k + M/2 (V)
     clicks = np.empty((m // 2, 2, 2), dtype=complex)
-    for setting in schedule:
-        c, s = np.cos(setting.bs_angle), np.sin(setting.bs_angle)
-        clicks[setting.slot - 1] = c * hv
+    cr, sr = np.cos(np.pi + np.pi / m), np.sin(np.pi + np.pi / m)
+    for k, tap in enumerate(taps):
+        clicks[k] = np.sqrt(tap) * hv
         # reflected pair stays in the loop and gets rotated
-        cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
-        hv = np.array([[cr, sr], [-sr, cr]]) @ (-s * hv)
+        hv = np.array([[cr, sr], [-sr, cr]]) @ (-np.sqrt(1.0 - tap) * hv)
     clicks[m // 2 - 1] = np.cos(EXIT_SLOT_BS_ANGLE) * hv
     return clicks.transpose(1, 0, 2).reshape(m, 2)
 

@@ -463,6 +463,25 @@ def test_verify_pass_and_metadata(capsys):
     assert "verification: PASS" in out.err
 
 
+@pytest.mark.parametrize("m", [2, 16, 256])
+def test_compile_verify_and_verify_report_the_same_round_trip_bits(monkeypatch, tmp_path, m):
+    judged = []
+    judge = cli._judge
+
+    def recorded(checks, tol):
+        judged.append(dict(checks))
+        return judge(checks, tol)
+
+    monkeypatch.setattr(cli, "_judge", recorded)
+    assert run("compile", "--M", str(m), "--verify", "--out", str(tmp_path / "n.json")) == 0
+    assert run("verify", "--M", str(m), "--out", str(tmp_path / "v.json")) == 0
+    compiled, verified = (checks["netlist_round_trip"] for checks in judged)
+    # N applied to a copy of Z and to [I | Z] gives the same residual, bit for bit
+    assert compiled.hex() == verified.hex()
+    written = json.loads((tmp_path / "v.json").read_text())["checks"]["netlist_round_trip"]
+    assert written.hex() == verified.hex()
+
+
 def test_verify_impossible_tolerance_exits_2(capsys):
     assert run("verify", "--M", "4", "--tolerance", "1e-30") == 2
     capsys.readouterr()

@@ -84,7 +84,8 @@ def nan_in_recursive_z():
 
 
 def shifted_optics_angle():
-    # the compiler keeps the true angle, so only the optical layouts move
+    # the compiler keeps the true angle and the folded schedule derives its
+    # own taps, so only the direct layout moves
     return [(optics, "triplet_angle", lambda m, k: compiler.triplet_angle(m, k) + 1e-6)]
 
 
@@ -124,7 +125,12 @@ FAULTS = [
         False,
     ),
     ("recursive_z_nan", nan_in_recursive_z, {"closed_vs_recursive"}, True),
-    ("optics_triplet_angle_shifted", shifted_optics_angle, {"direct_vs_analytic"}, True),
+    (
+        "optics_triplet_angle_shifted",
+        shifted_optics_angle,
+        {"direct_vs_analytic", "folded_vs_direct"},
+        True,
+    ),
     (
         "povm_conjugated",
         conjugated_povm,

@@ -17,6 +17,7 @@ from phasepovm.naimark import (
     build_extension_recursive,
     column_order,
     projector,
+    random_states,
     verify_naimark,
     write_extension_csv,
     write_extension_json,
@@ -291,10 +292,7 @@ def test_gram_residuals_equal_a_fresh_computation(build, m):
     ext = build(m)
     z, eye = ext.Z, np.eye(m)
     gram = z.conj().T @ z
-    cached = ext.gram_residuals
-    assert ext.gram_residuals is cached  # formed once per matrix
-    with pytest.raises(TypeError):
-        cached["unitarity"] = 0.0  # the cache cannot be edited
+    residuals = gram_residuals(z)
     # the dense complex products round differently from the real ones
     dense = {
         "orthogonality": np.max(np.abs(gram - np.diag(np.diag(gram)))),
@@ -302,11 +300,10 @@ def test_gram_residuals_equal_a_fresh_computation(build, m):
         "unitarity": max(np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye))),
     }
     for name, value in dense.items():
-        np.testing.assert_allclose(cached[name], value, rtol=0, atol=1e-13, err_msg=name)
-    assert dict(cached) == gram_residuals(z)
+        np.testing.assert_allclose(residuals[name], value, rtol=0, atol=1e-13, err_msg=name)
     report = verify_naimark(ext, seed=SEED)
     for name in ("orthogonality", "norms", "unitarity"):
-        assert report[name] == cached[name]
+        assert report[name] == residuals[name]
 
 
 def test_extension_matrix_is_read_only_and_not_copied():
@@ -414,6 +411,14 @@ def test_probability_check_equals_the_dense_lifted_trace():
             expected = max(expected, abs(direct - extended))
     assert abs(report["probability_constraint"] - expected) <= 1e-12
     assert expected > 1e-3  # the broken Z is visible to the check
+
+
+def test_random_states_are_the_seeded_random_densities():
+    states = random_states(5)
+    assert states.shape == (NUM_STATES, 2, 2)
+    rng = np.random.default_rng(5)
+    for rho in states:
+        assert np.array_equal(rho, random_density(rng))
 
 
 def test_verify_naimark_probability_check_depends_on_seed_only_in_states():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from phasepovm.numerics import (
     gram_residuals,
-    is_unitary,
+    identity_gap,
     partial_trace_ancilla,
     rotate_rows,
     write_csv_rows,
@@ -103,17 +103,17 @@ def _random_unitary(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-def test_is_unitary_accepts_random_unitaries(n):
+def test_unitarity_residual_accepts_random_unitaries(n):
     rng = np.random.default_rng(SEED + n)
     for _ in range(20):
-        assert is_unitary(_random_unitary(rng, n))
+        assert gram_residuals(_random_unitary(rng, n))["unitarity"] <= 1e-10
 
 
-def test_is_unitary_rejects_scaled_and_singular():
-    assert not is_unitary(2.0 * np.eye(3))
-    assert not is_unitary(np.zeros((2, 2)))
+def test_unitarity_residual_rejects_scaled_and_singular():
+    assert not gram_residuals(2.0 * np.eye(3))["unitarity"] <= 1e-10
+    assert not gram_residuals(np.zeros((2, 2)))["unitarity"] <= 1e-10
     with pytest.raises(ValueError, match="square"):
-        is_unitary(np.ones((2, 3)))
+        gram_residuals(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         gram_residuals(np.ones((3, 2)))
 
@@ -175,7 +175,29 @@ def test_gram_residuals_equal_the_dense_products(a):
     for name, value in expected.items():
         np.testing.assert_allclose(got[name], value, rtol=0, atol=1e-13, err_msg=name)
     assert np.isnan(got["unitarity"]) == bool(np.isnan(a).any())
-    assert is_unitary(a) == (got["unitarity"] <= 1e-10)
+
+
+@st.composite
+def identity_gap_inputs(draw):
+    """A complex n x n array whose parts mix any float64 with 0.0, -0.0, 1.0 and NaN."""
+    n = draw(st.integers(1, 6))
+    part = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]))
+    return draw(arrays(np.float64, (n, n, 2), elements=part)).view(complex)[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=identity_gap_inputs())
+@example(a=np.array([[complex(-0.0, -0.0), 0.0], [np.nan, 1.0]]))
+@example(a=np.eye(3, dtype=complex))
+def test_identity_gap_is_the_max_gap_in_place_bit_for_bit(a):
+    expected_matrix = a - np.eye(len(a))
+    expected = np.max(np.abs(expected_matrix))
+    work = a.copy()
+    got = identity_gap(work)
+    assert type(got) is float
+    # the same bits, a NaN's payload and a zero's sign included
+    assert np.float64(got).view(np.int64) == expected.view(np.int64)
+    assert np.array_equal(work.view(np.int64), expected_matrix.view(np.int64))
 
 
 def test_rotate_rows_applies_the_plane_rotation_convention():

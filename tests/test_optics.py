@@ -15,7 +15,7 @@ from phasepovm.compiler import (
     triplet_angle,
 )
 from phasepovm.naimark import build_extension_closed, column_order
-from phasepovm.numerics import is_unitary, rotate_rows
+from phasepovm.numerics import gram_residuals, rotate_rows
 from phasepovm.optics import (
     Detector,
     EXIT_SLOT_BS_ANGLE,
@@ -73,13 +73,12 @@ def _reference_folded(m, rho):
     for val, vec in _eigen_pairs(rho):
         h = (vec[0] + vec[1]) / np.sqrt(2.0)
         v = (-vec[0] + vec[1]) / np.sqrt(2.0) * np.exp(-1j * np.pi / 2)
-        for setting in build_folded_schedule(m):
-            c, s = np.cos(setting.bs_angle), np.sin(setting.bs_angle)
-            k = setting.slot - 1
+        cr, sr = np.cos(np.pi + np.pi / m), np.sin(np.pi + np.pi / m)
+        for k, tap in enumerate(build_folded_schedule(m)):
+            c, s = np.sqrt(tap), np.sqrt(1.0 - tap)
             pairs[k, 0] += val * float(np.abs(c * h) ** 2)
             pairs[k, 1] += val * float(np.abs(c * v) ** 2)
             h, v = -s * h, -s * v
-            cr, sr = np.cos(setting.loop_rotation), np.sin(setting.loop_rotation)
             h, v = cr * h + sr * v, -sr * h + cr * v
         c = np.cos(EXIT_SLOT_BS_ANGLE)
         pairs[m // 2 - 1, 0] += val * float(np.abs(c * h) ** 2)
@@ -438,7 +437,7 @@ def test_direct_scheme_element_count_linear_and_unitary(m):
     scheme = build_direct_scheme(m)
     assert len(scheme.elements) == 2 + 5 * (m // 2 - 1) + 3
     assert scheme.n_paths == m
-    assert is_unitary(evaluate_netlist(scheme.netlist))
+    assert gram_residuals(evaluate_netlist(scheme.netlist))["unitarity"] <= 1e-10
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
@@ -615,14 +614,12 @@ def test_simulate_netlist_agrees_with_direct_scheme():
 
 
 def test_folded_schedule_m8_values():
-    schedule = build_folded_schedule(8)
-    assert [s.slot for s in schedule] == [1, 2, 3]
-    expected = [np.arctan(np.sqrt(3.0)), np.arctan(np.sqrt(2.0)), np.pi / 4.0]
-    np.testing.assert_allclose([s.bs_angle for s in schedule], expected, atol=1e-15)
-    for s in schedule:
-        assert abs(s.loop_rotation - (np.pi + np.pi / 8.0)) < 1e-15
-    angles = [s.bs_angle for s in schedule]
-    assert all(a > b for a, b in zip(angles, angles[1:]))
+    taps = build_folded_schedule(8)
+    np.testing.assert_allclose(taps, [1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0], atol=1e-15)
+    # the tap is cos^2 of the direct scheme's block angle
+    angles = [triplet_angle(8, k) for k in range(3)]
+    np.testing.assert_allclose(taps, np.cos(angles) ** 2, atol=1e-15)
+    assert all(a < b for a, b in zip(taps, taps[1:]))
 
 
 def test_folded_schedule_rejects_m2():
