@@ -73,6 +73,8 @@ class Netlist:
     elements: tuple[NetlistElement, ...]
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"netlist mode count M must be >= 1, got M={self.M}")
         for e in self.elements:
             top = e.v if isinstance(e, GivensRotation) else e.u
             if top > self.M:
@@ -85,13 +87,11 @@ BOOTSTRAP = (GivensRotation(1, 2, float(np.pi / 4)), PhaseShift(2, float(np.pi /
 
 
 def _apply_element(a: np.ndarray, e: NetlistElement) -> None:
-    """Left-multiply ``a`` by one netlist element, in place on its rows."""
-    if isinstance(e, GivensRotation) and e.v <= len(a):
+    """Left-multiply ``a`` by one element in place; Netlist and apply_netlist check the range."""
+    if isinstance(e, GivensRotation):
         rotate_rows(a, e.u - 1, e.v - 1, e.omega)
-    elif isinstance(e, PhaseShift) and e.u <= len(a):
+    elif isinstance(e, PhaseShift):
         a[e.u - 1] *= np.exp(-1j * e.phi)
-    else:
-        raise ValueError(f"element {e!r} out of range for M={len(a)}")
 
 
 def triplet_angle(m: int, k: int) -> float:

@@ -5,8 +5,8 @@ an H slot at vector index 2m-1 and a V slot at index 2m (1-based), and
 a state is the list of creation-operator coefficients over those slots.
 Each element lowers to netlist elements on netlist modes mode_index + 1:
 a polarization rotation to W(H, V), a waveplate to S(V), a PPBS to
-W(H_a, H_b) then W(V_a, V_b), a PBS to that PPBS at angles (0, pi/2),
-and a detector to nothing; compiler.apply_netlist runs the direct
+W(H_a, H_b) then W(V_a, V_b), and a detector to nothing (a PBS is the
+PPBS at angles (0, pi/2)); compiler.apply_netlist runs the direct
 layout, and the folded layout keeps its own slot loop as the
 independent cross-check.
 
@@ -26,8 +26,6 @@ detector of block k means outcome k, on the V detector outcome k + M/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -115,21 +113,14 @@ def beam_splitter(path_a: int, path_b: int, angle: float) -> PPBS:
     return PPBS(path_a, path_b, angle, angle)
 
 
-@dataclass(frozen=True)
-class PBS:
+def PBS(path_a: int, path_b: int) -> PPBS:
     """Polarizing beam splitter: transmits H, moves V across paths.
 
     The limiting PPBS with angle_h = 0, angle_v = pi/2; V of path_b
     lands on path_a with a plus sign, V of path_a on path_b with a
     minus sign.
     """
-
-    path_a: int
-    path_b: int
-
-    def __post_init__(self):
-        if self.path_a == self.path_b:
-            raise ValueError("PBS needs two distinct paths")
+    return PPBS(path_a, path_b, 0.0, np.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -141,7 +132,7 @@ class Detector:
     outcome: int
 
 
-OpticalElement = PolarizationRotation | WaveplatePhase | PPBS | PBS | Detector
+OpticalElement = PolarizationRotation | WaveplatePhase | PPBS | Detector
 
 
 def _rotation(u: int, v: int, angle: float) -> GivensRotation:
@@ -158,7 +149,7 @@ def _lower(e: OpticalElement, paths: int) -> tuple[GivensRotation | PhaseShift, 
     (mode_index + 1).
     """
     kind = type(e)
-    if kind is PPBS or kind is PBS:
+    if kind is PPBS:
         a, b = e.path_a, e.path_b
         low, top = min(a, b), max(a, b)
     elif kind is PolarizationRotation or kind is WaveplatePhase or kind is Detector:
@@ -175,8 +166,7 @@ def _lower(e: OpticalElement, paths: int) -> tuple[GivensRotation | PhaseShift, 
         return (GivensRotation(2 * top - 1, 2 * top, e.angle),)
     if kind is WaveplatePhase:
         return (PhaseShift(2 * top, e.phase),)
-    h, v = (e.angle_h, e.angle_v) if kind is PPBS else (0.0, np.pi / 2)
-    return _rotation(2 * a - 1, 2 * b - 1, h), _rotation(2 * a, 2 * b, v)
+    return _rotation(2 * a - 1, 2 * b - 1, e.angle_h), _rotation(2 * a, 2 * b, e.angle_v)
 
 
 def apply_element(state: ModeAmplitudes, e: OpticalElement) -> ModeAmplitudes:
@@ -205,38 +195,30 @@ class Scheme:
                 f"detectors must read each outcome 0..{self.M - 1} once, at distinct modes"
             )
 
-    @cached_property
-    def detector_map(self) -> MappingProxyType:
-        """Read-only map from (path, polarization) to its detector's outcome, built once."""
-        return MappingProxyType(
-            {
-                (e.path, e.polarization): e.outcome
-                for e in self.elements
-                if isinstance(e, Detector)
-            }
-        )
+    @property
+    def detector_map(self) -> dict[tuple[int, str], int]:
+        """Map from (path, polarization) to its detector's outcome."""
+        return {
+            (e.path, e.polarization): e.outcome for e in self.elements if isinstance(e, Detector)
+        }
 
-    @cached_property
+    @property
     def netlist(self) -> Netlist:
-        """The layout lowered once; its M counts the 2 * n_paths modes, not the outcomes."""
+        """The layout lowered; its M counts the 2 * n_paths modes, not the outcomes."""
         lowered = (x for e in self.elements for x in _lower(e, self.n_paths))
         return Netlist(M=2 * self.n_paths, elements=tuple(lowered))
 
-    @cached_property
+    @property
     def isometry(self) -> np.ndarray:
-        """M x 2 map V from the photon's input pair to the detectors.
+        """M x 2 map V from the photon's input pair to the detectors, built on each read.
 
         Row k holds the amplitudes at the detector of outcome k for a
-        photon entering on mode 1H and on mode 1V. The elements are a
-        tuple of frozen records, so V is built once per scheme; the
-        array is read-only.
+        photon entering on mode 1H and on mode 1V.
         """
         rows = np.empty(self.M, dtype=int)
         for (path, pol), k in self.detector_map.items():
             rows[k] = mode_index(path, pol)
-        v = apply_netlist(self.netlist, np.eye(2 * self.n_paths, 2, dtype=complex))[rows]
-        v.flags.writeable = False
-        return v
+        return apply_netlist(self.netlist, np.eye(2 * self.n_paths, 2, dtype=complex))[rows]
 
 
 def build_direct_scheme(m: int) -> Scheme:

@@ -40,8 +40,9 @@ def _check_outcome_index(m: int, k: int) -> int:
 
 
 def wrap_phase(phi: float) -> float:
-    """Wrap a phase into [0, 2*pi)."""
-    return float(phi) % TWO_PI
+    """Wrap a phase into [0, 2*pi); a tiny negative one that % rounds up to 2*pi is 0."""
+    w = float(phi) % TWO_PI
+    return 0.0 if w == TWO_PI else w
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,7 @@ def analytic_phase_table(m: int, phis) -> np.ndarray:
     """
     m = validate_outcome_count(m)
     phis = np.remainder(np.asarray(phis, dtype=float), TWO_PI)
+    phis[phis == TWO_PI] = 0.0  # as in wrap_phase
     k = np.arange(m)
     return (1.0 + np.cos(phis[:, None] - TWO_PI * k / m)) / m
 

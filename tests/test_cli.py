@@ -553,21 +553,35 @@ def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
     capsys.readouterr()
 
 
+# every command once; the True ones write --out, the rest print their data
+RERUNS = [
+    (("verify", "--M", "8", "--seed", "3"), True),
+    (("verify", "--M", "8", "--seed", "3"), False),
+    (("extend", "--M", "64"), True),
+    (("extend", "--M", "16", "--format", "csv"), True),
+    (("sweep", "--M", "8", "--steps", "90", "--format", "csv"), True),
+    (("compile", "--M", "16", "--verify"), True),
+    *[
+        (("simulate", "--M", "16", "--phi", "1.1", "--scheme", scheme, "--format", fmt), True)
+        for scheme in ("direct", "folded")
+        for fmt in ("json", "csv")
+    ],
+    (("compare", "--M", "16", "--phi", "1.1"), False),
+    (("povm", "--M", "4", "--phi", "0.3"), False),
+]
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for target in (a, b):
-        assert run("verify", "--M", "8", "--seed", "3", "--out", str(target)) == 0
-    assert a.read_bytes() == b.read_bytes()
-    first, second = tmp_path / "first" / "e.json", tmp_path / "second" / "e.json"
-    for target in (first, second):
-        target.parent.mkdir()
-        assert run("extend", "--M", "64", "--out", str(target)) == 0
-    for name in ("e_closed.json", "e_recursive.json"):
-        assert (first.parent / name).read_bytes() == (second.parent / name).read_bytes()
-    c, d = tmp_path / "c.csv", tmp_path / "d.csv"
-    for target in (c, d):
-        assert run(
-            "sweep", "--M", "8", "--steps", "90", "--format", "csv", "--out", str(target)
-        ) == 0
-    assert c.read_bytes() == d.read_bytes()
-    capsys.readouterr()
+    for i, (args, to_file) in enumerate(RERUNS):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        argv = (*args, "--out", str(folder / "out")) if to_file else args
+        runs = []
+        for _ in range(2):  # the second run overwrites the first one's files
+            code = run(*argv)
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+            runs.append((code, captured.out, captured.err, files))
+        assert runs[0] == runs[1], args
+        code, out, _, files = runs[0]
+        assert code == 0 and bool(files) == to_file and bool(out) != to_file, args

@@ -96,8 +96,9 @@ def test_element_index_validation():
         PhaseShift(0, 0.1)
     with pytest.raises(ValueError):
         Netlist(M=2, elements=(GivensRotation(1, 3, 0.1),))
-    with pytest.raises(ValueError):
-        givens_matrix(2, GivensRotation(1, 3, 0.1))
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"M must be >= 1, got M={m}"):
+            Netlist(M=m, elements=())
 
 
 @pytest.mark.parametrize(
@@ -297,6 +298,8 @@ BAD_ENTRIES = [
         ({"elements": [GOOD_GIVENS]}, "'M', got None"),
         ({"M": 4}, "'elements'"),
         *[({"M": 4, "elements": [GOOD_GIVENS, e]}, f"element 1 {e!r}") for e in BAD_ENTRIES],
+        ({"M": 0, "elements": []}, "M must be >= 1, got M=0"),
+        ({"M": -3, "elements": []}, "M must be >= 1, got M=-3"),
     ],
 )
 def test_netlist_from_json_dict_rejects_malformed_input(d, named):

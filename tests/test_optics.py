@@ -103,8 +103,6 @@ def _reference_apply(arr, e, paths):
             )
         rotate_rows(arr, mode_index(e.path_a, "H"), mode_index(e.path_b, "H"), e.angle_h)
         rotate_rows(arr, mode_index(e.path_a, "V"), mode_index(e.path_b, "V"), e.angle_v)
-    elif isinstance(e, PBS):
-        _reference_apply(arr, PPBS(e.path_a, e.path_b, 0.0, np.pi / 2), paths)
     elif isinstance(e, Detector):
         if e.path > paths:
             raise ValueError(f"path {e.path} out of range ({paths} paths)")
@@ -124,15 +122,13 @@ def _reference_isometry(scheme):
 
 
 def _reference_lower(e, paths):
-    """Each element lowered through mode_index and a PPBS for each PBS."""
+    """Each element lowered through mode_index."""
 
     def rotation(i, j, angle):
         if i < j:
             return GivensRotation(i + 1, j + 1, angle)
         return GivensRotation(j + 1, i + 1, -angle)
 
-    if isinstance(e, PBS):
-        e = PPBS(e.path_a, e.path_b, 0.0, np.pi / 2)
     top = max(e.path_a, e.path_b) if isinstance(e, PPBS) else e.path
     if top > paths:
         raise ValueError(f"path {top} out of range ({paths} paths)")
@@ -294,7 +290,7 @@ def test_apply_element_matches_the_reference_dispatcher_bit_for_bit():
         state, ref = ModeAmplitudes(a), a.copy()
         for _ in range(10):
             e = _random_element(rng, paths)
-            if isinstance(e, (PPBS, PBS)) and e.path_a > e.path_b:
+            if isinstance(e, PPBS) and e.path_a > e.path_b:
                 reversed_splitters += 1
             state = apply_element(state, e)
             _reference_apply(ref, e, paths)
@@ -424,7 +420,7 @@ def test_direct_scheme_m2_degenerate_layout():
     assert kinds == [
         "PolarizationRotation",
         "WaveplatePhase",
-        "PBS",
+        "PPBS",
         "Detector",
         "Detector",
     ]
@@ -486,9 +482,22 @@ def test_scheme_isometry_is_the_detector_rows_of_the_transfer_matrix(m):
     for (path, pol), k in scheme.detector_map.items():
         np.testing.assert_array_equal(v[k], t[mode_index(path, pol), :2])
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-12)
-    assert scheme.isometry is v  # built once per scheme
-    with pytest.raises(ValueError, match="read-only"):
-        v[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_scheme_views_are_rebuilt_with_the_same_bits_on_each_read(m):
+    scheme = build_direct_scheme(m)
+    assert scheme.detector_map == scheme.detector_map
+    first = scheme.netlist.elements
+    assert first == scheme.netlist.elements and repr(first) == repr(scheme.netlist.elements)
+    v = scheme.isometry
+    expected = v.copy()
+    assert _same_bits(scheme.isometry, expected)
+    # a caller writing into its V does not reach the next read
+    v[:] = np.nan
+    scheme.detector_map[(1, "H")] = m
+    assert _same_bits(scheme.isometry, expected)
+    assert sorted(scheme.detector_map.values()) == list(range(m))
 
 
 def _states_and_stack(seed):
@@ -521,12 +530,10 @@ def test_simulate_netlist_equals_the_transfer_matrix_route_bit_for_bit(m):
         )
 
 
-def test_scheme_is_hashable_and_its_detector_map_read_only():
+def test_scheme_is_hashable_and_its_detector_map_derived():
     scheme = build_direct_scheme(4)
     assert hash(scheme) == hash(build_direct_scheme(4))
     assert scheme == build_direct_scheme(4)
-    with pytest.raises(TypeError):
-        scheme.detector_map[(1, "H")] = 3
     # the map is derived from the Detector elements, the one record
     detectors = [e for e in scheme.elements if isinstance(e, Detector)]
     assert len(detectors) == 4

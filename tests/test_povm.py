@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasepovm.povm import (
+    TWO_PI,
     OutcomeDistribution,
     analytic_phase_distribution,
+    analytic_phase_table,
     guessing_probability,
     outcome_distribution,
     outcome_probability,
@@ -134,6 +138,25 @@ def test_wrap_phase_lands_in_principal_interval():
         w = wrap_phase(phi)
         assert 0.0 <= w < 2.0 * np.pi
         assert abs(np.exp(1j * w) - np.exp(1j * phi)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(-5e-324)  # the smallest subnormal
+@example(-1e-300)
+@example(-1e-20)
+@example(-4.4e-16)
+@example(-5e-16)
+def test_wrap_phase_never_reaches_two_pi(phi):
+    # % rounds a tiny negative phase up to exactly 2*pi
+    assert 0.0 <= wrap_phase(phi) < TWO_PI
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_analytic_table_reads_a_tiny_negative_phase_as_zero(m):
+    got, zero = analytic_phase_table(m, [-1e-20, -0.0]), analytic_phase_table(m, [0.0, 0.0])
+    assert np.array_equal(got.view(np.int64), zero.view(np.int64))
 
 
 def test_validate_density_accepts_states_and_rejects_garbage():
