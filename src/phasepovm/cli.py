@@ -53,7 +53,7 @@ from .naimark import (
     write_extension_csv,
     write_extension_json,
 )
-from .numerics import identity_gap, row_slices, write_csv_rows, write_json_rows
+from .numerics import identity_gap, max_gap, row_slices, write_csv_rows, write_json_rows
 from .optics import (
     build_direct_scheme,
     simulate_direct,
@@ -267,11 +267,6 @@ def _judge(checks: dict[str, float], tol: float) -> bool:
     return passed
 
 
-def _max_gap(a, b) -> float:
-    """Largest |a - b| entry; np.max keeps a NaN, which then fails its check."""
-    return float(np.max(np.abs(a - b)))
-
-
 def _fmt_complex(v: complex) -> str:
     return f"{v.real:+.12f}{v.imag:+.12f}j"
 
@@ -315,7 +310,7 @@ def _extension_checks(m: int, seed: int):
     # the Gram work runs before the recursive Z exists, so it never holds both
     naimark_checks = verify_naimark(closed, seed=seed)
     recursive = build_extension_recursive(m)
-    checks = {"closed_vs_recursive": _max_gap(closed.Z, recursive.Z), **naimark_checks}
+    checks = {"closed_vs_recursive": max_gap(closed.Z, recursive.Z), **naimark_checks}
     return closed, checks, recursive
 
 
@@ -326,7 +321,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
     write = write_extension_json if args.output_format == "json" else write_extension_csv
     for ext, path in ((closed, path_closed), (recursive, path_recursive)):
-        with path.open("w", encoding="utf-8") as fh:
+        with _output(str(path)) as fh:
             write(ext, fh)
 
     _note(f"wrote {path_closed} and {path_recursive}")
@@ -356,11 +351,11 @@ def _simulations(m: int, rho, run_folded: bool):
     """(residuals, direct, folded or None) for one state or a stack, one call per layout."""
     analytic = outcome_distribution(phase_povm(m), rho).probabilities
     direct = simulate_direct(build_direct_scheme(m), rho)
-    residuals = {"direct_vs_analytic": _max_gap(direct.probabilities, analytic)}
+    residuals = {"direct_vs_analytic": max_gap(direct.probabilities, analytic)}
     folded = None
     if run_folded:
         folded = simulate_folded(m, rho)
-        residuals["folded_vs_direct"] = _max_gap(folded.probabilities, direct.probabilities)
+        residuals["folded_vs_direct"] = max_gap(folded.probabilities, direct.probabilities)
     return residuals, direct, folded
 
 

@@ -26,8 +26,11 @@ from numbers import Integral, Real
 import numpy as np
 
 from .naimark import ExtensionMatrix
-from .numerics import COMPARISON_TOL, gram_residuals, identity_gap, rotate_rows
+from .numerics import gram_residuals, identity_gap, rotate_rows
 from .povm import validate_outcome_count
+
+# Largest unitarity residual of a matrix that decompose_by_elimination accepts.
+COMPARISON_TOL = 1e-10
 
 # Entries at or below this magnitude count as already eliminated and
 # emit no rotation.

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gram_residuals, row_slices, write_csv_rows, write_json_rows
+from .numerics import gram_residuals, max_gap, row_slices, write_csv_rows, write_json_rows
 
 # povm_element is not called here; it stays importable from this module
 # because bench/test_bench.py lists naimark.povm_element among the
 # cross-module names its tracer wraps
 from .povm import (  # noqa: F401
+    click_probabilities,
     phase_povm,
     povm_element,
     psi_k,
@@ -55,18 +56,24 @@ def column_order(m: int) -> tuple[int, ...]:
 class ExtensionMatrix:
     """Unitary M x M matrix whose columns extend the POVM directions.
 
-    column_order[j] is the outcome index of column j, fixed to the
-    interleaved packing; the top two entries of the column for outcome
-    k equal X_k = sqrt(2/M) psi_k. Z is made read-only (not copied) on
-    construction, so no check can change the matrix that the others read.
+    Z is the only field: M is its size, and column_order[j], the outcome
+    of column j, is the interleaved packing column_order(M). The column for
+    outcome k starts with X_k = sqrt(2/M) psi_k. Z is made read-only (not
+    copied) on construction, so no check can change what the others read.
     """
 
-    M: int
     Z: np.ndarray
-    column_order: tuple[int, ...]
 
     def __post_init__(self):
         self.Z.flags.writeable = False
+
+    @property
+    def M(self) -> int:
+        return len(self.Z)
+
+    @property
+    def column_order(self) -> tuple[int, ...]:
+        return column_order(self.M)
 
     def column_for_outcome(self, k: int) -> np.ndarray:
         j = self.column_order.index(k)
@@ -117,8 +124,7 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
 def build_extension_closed(m: int) -> ExtensionMatrix:
     """Assemble the extension matrix from closed-form columns."""
     m = validate_outcome_count(m)
-    order = column_order(m)
-    return ExtensionMatrix(M=m, Z=_closed_form_columns(m, order), column_order=order)
+    return ExtensionMatrix(Z=_closed_form_columns(m, column_order(m)))
 
 
 def build_extension_recursive(m: int) -> ExtensionMatrix:
@@ -139,9 +145,8 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     real; an imaginary part of G above SKIP_TOL is an error.
     """
     m = validate_outcome_count(m)
-    order = column_order(m)
     n = m - 2
-    x = np.sqrt(2.0 / m) * np.stack([psi_k(m, k) for k in order], axis=1)
+    x = np.sqrt(2.0 / m) * np.stack([psi_k(m, k) for k in column_order(m)], axis=1)
     g = x.conj().T @ -x
     g[np.diag_indices(m)] += 1.0
     real = g.real
@@ -155,7 +160,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     for i in range(n):
         b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
     # a NaN residual must fail, so test "not <=" rather than ">"
-    completion = float(np.max(np.abs(b.T @ b - real[n:, n:])))
+    completion = max_gap(b.T @ b, real[n:, n:])
     if not completion <= SKIP_TOL:
         raise RuntimeError(
             f"M={m}: the last two columns miss G[M-2:, M-2:] by {completion:.3e}"
@@ -169,7 +174,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     z[:2] = x
     z[2:, :n] = lower.T
     z[2:, n:] = b
-    return ExtensionMatrix(M=m, Z=z, column_order=order)
+    return ExtensionMatrix(Z=z)
 
 
 def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
@@ -209,15 +214,14 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     # reference[j] is Pi_k for the outcome k that column j carries
     reference = phase_povm(ext.M).elements[list(ext.column_order)]
     top = ext.Z[:2].T
-    blocks = top[:, :, None] * top.conj()[:, None, :]
-    max_block = float(np.max(np.abs(blocks - reference)))
+    max_block = max_gap(top[:, :, None] * top.conj()[:, None, :], reference)
 
     rhos = random_states(seed)
-    # The lifted state |e1><e1| x rho is zero outside its top 2x2 block,
-    # so Tr[P_j lifted] = z[:2, j]† rho z[:2, j]: O(M) per state
-    extended = np.einsum("ja,sab,jb->sj", top.conj(), rhos, top).real
+    # |e1><e1| x rho is zero outside its top 2x2 block, so Tr[P_j lifted] is
+    # z[:2, j]† rho z[:2, j]: the clicks of the M x 2 isometry conj(Z[:2])ᵀ, O(M) per state
+    extended = click_probabilities(top.conj(), rhos)
     direct = np.einsum("jab,sba->sj", reference, rhos).real
-    max_prob = float(np.max(np.abs(direct - extended)))
+    max_prob = max_gap(direct, extended)
 
     return {
         "orthogonality": gram["orthogonality"],

@@ -3,8 +3,8 @@
 Matrices and vectors are numpy arrays of complex128. Composite
 ancilla-plus-qubit spaces always use ancilla-major ordering: basis index
 2*a + s for ancilla level a and qubit level s, so the qubit index varies
-fastest. Everything here is a pure function and safe to call from
-multiple threads.
+fastest. rotate_rows and identity_gap write into the array they are
+given; no other public function here changes an array argument.
 
 The export writers live here too: one float formatter, and CSV and JSON
 writers that stream a table to an open text file one block of rows at a
@@ -21,9 +21,6 @@ import textwrap
 
 import numpy as np
 
-# Tolerance for comparisons between computed quantities.
-COMPARISON_TOL = 1e-10
-
 # Floats per block of rows a writer formats at once; bounds its memory.
 BLOCK_VALUES = 1 << 16
 
@@ -34,12 +31,12 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _PLACEHOLDER = "\x00"
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+        raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must be non-empty, got shape {m.shape}")
+        raise ValueError(f"matrix must be non-empty, got shape {m.shape}")
     return m
 
 
@@ -112,6 +109,11 @@ def gram_residuals(a) -> dict[str, float]:
         "norms": float(norms),
         "unitarity": float(unitarity),
     }
+
+
+def max_gap(a, b) -> float:
+    """Largest |a - b| entry; np.max keeps a NaN, which then fails its check."""
+    return float(np.max(np.abs(a - b)))
 
 
 def identity_gap(a: np.ndarray) -> float:
@@ -231,8 +233,8 @@ def write_json_rows(fh, fields: dict, key: str, row, blocks) -> None:
     json's own.
     """
     head = json.dumps(fields, indent=2)[:-2]  # drop the closing "\n}"
-    fh.write(f"{head},\n  {json.dumps(key)}: [\n")
-    pieces, sep, table = None, "", None
+    fh.write(f"{head},\n  {json.dumps(key)}: [")
+    pieces, sep, table = None, "\n", None
     for block in blocks:
         if pieces is None:
             template = json.dumps(row([_PLACEHOLDER] * block.shape[1]), indent=2)
@@ -245,4 +247,4 @@ def write_json_rows(fh, fields: dict, key: str, row, blocks) -> None:
             fh.write(sep)
             fh.write(line)
             sep = ",\n"
-    fh.write("\n  ]\n}\n")
+    fh.write("\n  ]\n}\n" if sep == ",\n" else "]\n}\n")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import GivensRotation, Netlist, PhaseShift, apply_netlist, triplet_angle
-from .povm import OutcomeDistribution, validate_density, validate_outcome_count
+from .povm import OutcomeDistribution, click_probabilities, validate_density, validate_outcome_count
 
 NORM_TOL = 1e-12
 
@@ -269,8 +269,7 @@ def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
     state through V alone; a mixed state needs no diagonalization. An
     (S, 2, 2) stack of states gives one row of probabilities per state.
     """
-    rho = validate_density(rho)
-    p = np.einsum("ka,...ab,kb->...k", v, rho, v.conj()).real
+    p = click_probabilities(v, validate_density(rho))
     return OutcomeDistribution(M=len(v), probabilities=p)
 
 

@@ -153,6 +153,11 @@ def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
     return OutcomeDistribution(M=povm.M, probabilities=p)
 
 
+def click_probabilities(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(V rho V†)_kk for each row k of an M x 2 map V, on a validated state or (S, 2, 2) stack."""
+    return np.einsum("ka,...ab,kb->...k", v, rho, v.conj()).real
+
+
 def outcome_probability(povm: PhasePovm, k: int, rho) -> float:
     """Probability Tr[Pi_k rho] of recording outcome k on state rho."""
     k = _check_outcome_index(povm.M, k)
@@ -177,9 +182,8 @@ def analytic_phase_distribution(m: int, phi: float) -> OutcomeDistribution:
 
     P(k) = (1/M) (1 + cos(phi - 2*pi*k/M)); sums to 1 for every phi.
     """
-    m = validate_outcome_count(m)
-    p = analytic_phase_table(m, [wrap_phase(phi)])[0]
-    return OutcomeDistribution(M=m, probabilities=p)
+    p = analytic_phase_table(m, [float(phi)])[0]  # validates M and wraps phi
+    return OutcomeDistribution(M=p.size, probabilities=p)
 
 
 def guessing_probability(m: int) -> float:

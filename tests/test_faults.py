@@ -89,6 +89,33 @@ def shifted_optics_angle():
     return [(optics, "triplet_angle", lambda m, k: compiler.triplet_angle(m, k) + 1e-6)]
 
 
+def shifted_compiler_angle():
+    # optics keeps its own reference to the true angle, so only the netlists move
+    angle = compiler.triplet_angle
+    return [(compiler, "triplet_angle", lambda m, k: angle(m, k) + 1e-6)]
+
+
+def shifted_waveplate_phase():
+    lower = optics._lower
+
+    def patched(e, paths):
+        if type(e) is optics.WaveplatePhase:
+            e = dataclasses.replace(e, phase=e.phase + 1e-6)
+        return lower(e, paths)
+
+    return [(optics, "_lower", patched)]
+
+
+def conjugated_click_step():
+    # both layouts share the slip, so only the qubit-level references see it
+    clicks = povm.click_probabilities
+
+    def slipped(v, rho):
+        return clicks(v.conj(), rho)
+
+    return [(module, "click_probabilities", slipped) for module in (optics, naimark)]
+
+
 def conjugated_povm():
     build = povm.phase_povm
 
@@ -129,6 +156,24 @@ FAULTS = [
         "optics_triplet_angle_shifted",
         shifted_optics_angle,
         {"direct_vs_analytic", "folded_vs_direct"},
+        True,
+    ),
+    (
+        "compiler_triplet_angle_shifted",
+        shifted_compiler_angle,
+        {"netlist_round_trip", "elimination_vs_closed_matrix"},
+        False,
+    ),
+    (
+        "waveplate_phase_shifted",
+        shifted_waveplate_phase,
+        {"direct_vs_analytic", "folded_vs_direct"},
+        True,
+    ),
+    (
+        "click_probabilities_conjugated",
+        conjugated_click_step,
+        {"probability_constraint", "direct_vs_analytic"},
         True,
     ),
     (

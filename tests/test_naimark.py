@@ -308,12 +308,20 @@ def test_gram_residuals_equal_a_fresh_computation(build, m):
 
 def test_extension_matrix_is_read_only_and_not_copied():
     z = build_extension_closed(8).Z.copy()
-    ext = ExtensionMatrix(M=8, Z=z, column_order=column_order(8))
+    ext = ExtensionMatrix(Z=z)
     assert ext.Z is z
     with pytest.raises(ValueError, match="read-only"):
         ext.Z[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         ext.column_for_outcome(3)[0] = 1.0
+
+
+def test_extension_size_and_column_order_follow_z():
+    # M and column_order are read off Z, so a replaced Z carries its own
+    ext = dataclasses.replace(build_extension_closed(8), Z=build_extension_closed(16).Z.copy())
+    assert ext.M == 16
+    assert ext.column_order == column_order(16)
+    assert [f.name for f in dataclasses.fields(ExtensionMatrix)] == ["Z"]
 
 
 @pytest.mark.parametrize("m", POWERS)
@@ -459,7 +467,7 @@ def test_writers_keep_signed_zeros_and_non_finite_entries():
     ext = build_extension_closed(8)
     z = ext.Z.copy()
     z[0, :6] = [-0.0, complex(0.0, -0.0), np.nan, np.inf, -np.inf, complex(1e16, 1e-5)]
-    broken = ExtensionMatrix(M=8, Z=z, column_order=ext.column_order)
+    broken = ExtensionMatrix(Z=z)
     json_text = _written(write_extension_json, broken)
     assert json_text == json.dumps(extension_to_json_dict(broken), indent=2) + "\n"
     assert "-0.0" in json_text and "NaN" in json_text and "-Infinity" in json_text

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from phasepovm.numerics import (
     gram_residuals,
     identity_gap,
+    max_gap,
     partial_trace_ancilla,
     rotate_rows,
     write_csv_rows,
@@ -50,19 +51,20 @@ ROW_LAYOUTS = [
 
 @st.composite
 def float_blocks(draw):
-    """1-4 blocks of float64 rows that share one even row length.
+    """0-4 blocks of 0-4 float64 rows that share one even row length.
 
     Each later block draws part of its entries from the values of the
     blocks before it, so a writer's table carried from one block to the
-    next is both hit and missed.
+    next is both hit and missed. No block, or only empty ones, is a
+    table with no rows.
     """
     cols = 2 * draw(st.integers(min_value=1, max_value=4))
     fresh = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
     blocks = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         seen = [x for block in blocks for x in block.ravel().tolist()]
         elements = st.one_of(fresh, st.sampled_from(seen)) if seen else fresh
-        blocks.append(draw(arrays(np.float64, (draw(st.integers(1, 4)), cols), elements=elements)))
+        blocks.append(draw(arrays(np.float64, (draw(st.integers(0, 4)), cols), elements=elements)))
     return blocks
 
 
@@ -78,6 +80,9 @@ SPECIAL_BLOCKS = [
 @settings(max_examples=100, deadline=None)
 @given(blocks=float_blocks(), layout=st.sampled_from(ROW_LAYOUTS))
 @example(blocks=SPECIAL_BLOCKS, layout=ROW_LAYOUTS[1])
+@example(blocks=[], layout=ROW_LAYOUTS[2])
+@example(blocks=[np.empty((0, 3))], layout=ROW_LAYOUTS[0])
+@example(blocks=[np.empty((0, 2)), np.ones((1, 2)), np.empty((0, 2))], layout=ROW_LAYOUTS[1])
 def test_json_writer_equals_json_dumps(blocks, layout):
     fields = {"M": 4, "column_order": [0, 2, 1, 3]}
     rows = [layout([float(x) for x in row]) for block in blocks for row in block]
@@ -177,12 +182,15 @@ def test_gram_residuals_equal_the_dense_products(a):
     assert np.isnan(got["unitarity"]) == bool(np.isnan(a).any())
 
 
+# entry parts of the gap tests: any float64, mixed with 0.0, -0.0, 1.0 and NaN
+GAP_PARTS = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]))
+
+
 @st.composite
 def identity_gap_inputs(draw):
     """A complex n x n array whose parts mix any float64 with 0.0, -0.0, 1.0 and NaN."""
     n = draw(st.integers(1, 6))
-    part = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]))
-    return draw(arrays(np.float64, (n, n, 2), elements=part)).view(complex)[..., 0]
+    return draw(arrays(np.float64, (n, n, 2), elements=GAP_PARTS)).view(complex)[..., 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,6 +206,28 @@ def test_identity_gap_is_the_max_gap_in_place_bit_for_bit(a):
     # the same bits, a NaN's payload and a zero's sign included
     assert np.float64(got).view(np.int64) == expected.view(np.int64)
     assert np.array_equal(work.view(np.int64), expected_matrix.view(np.int64))
+
+
+@st.composite
+def gap_pairs(draw):
+    """Two complex arrays of one shape, their parts as in identity_gap_inputs."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    pair = draw(arrays(np.float64, (2, *shape, 2), elements=GAP_PARTS)).view(complex)[..., 0]
+    return pair[0], pair[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=gap_pairs())
+@example(pair=(np.array([[1.0, np.nan]]), np.array([[1.0, 2.0]])))
+def test_max_gap_keeps_a_nan_and_the_bits_of_the_max_abs_difference(pair):
+    a, b = pair
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = np.max(np.abs(a - b))
+        got = max_gap(a, b)
+        has_nan = np.isnan(a - b).any()
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == expected.view(np.int64)
+    assert np.isnan(got) == has_nan
 
 
 def test_rotate_rows_applies_the_plane_rotation_convention():

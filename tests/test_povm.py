@@ -10,6 +10,7 @@ from phasepovm.povm import (
     OutcomeDistribution,
     analytic_phase_distribution,
     analytic_phase_table,
+    click_probabilities,
     guessing_probability,
     outcome_distribution,
     outcome_probability,
@@ -92,6 +93,28 @@ def test_guessing_probability_equals_the_running_total_exactly(m):
         rho = pure_phase_state(2.0 * np.pi * k / m)
         total += float(np.trace(povm_element(m, k) @ rho).real)
     assert guessing_probability(m) == total / m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.sampled_from(POWERS),
+    seed=st.integers(0, 2**32 - 1),
+    states=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_click_probabilities_equal_the_dense_trace_and_sum_to_one(m, seed, states):
+    # an M x 2 isometry V: the Q factor of a complex Gaussian
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2)))[0]
+    if states is None:
+        rho = random_density(rng)
+    else:
+        rho = np.array([random_density(rng) for _ in range(states)])
+    p = click_probabilities(v, rho)
+    assert p.shape == rho.shape[:-2] + (m,)
+    # Tr[V_k† V_k rho] for row k of V, each as a dense 2 x 2 product
+    dense = [np.trace(np.outer(v[k].conj(), v[k]) @ rho, axis1=-2, axis2=-1).real for k in range(m)]
+    np.testing.assert_allclose(p, np.moveaxis(np.array(dense), 0, -1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_outcome_index_range_checked():
