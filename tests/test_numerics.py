@@ -219,15 +219,21 @@ def gap_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(pair=gap_pairs())
 @example(pair=(np.array([[1.0, np.nan]]), np.array([[1.0, 2.0]])))
+@example(pair=(np.array([[complex(0.0, np.inf)]]), np.array([[complex(np.inf, np.inf)]])))
 def test_max_gap_keeps_a_nan_and_the_bits_of_the_max_abs_difference(pair):
     a, b = pair
     with np.errstate(invalid="ignore", over="ignore"):
         expected = np.max(np.abs(a - b))
         got = max_gap(a, b)
-        has_nan = np.isnan(a - b).any()
+        # |inf + nan j| is inf (C99 hypot), so a NaN part beside an infinite
+        # one gives an infinite gap, not a NaN one
+        has_nan = np.isnan(np.abs(a - b)).any()
+        non_finite = not np.isfinite(a - b).all()
     assert type(got) is float
     assert np.float64(got).view(np.int64) == expected.view(np.int64)
     assert np.isnan(got) == has_nan
+    # either way a NaN or infinite difference never passes a tolerance check
+    assert not (non_finite and got <= np.finfo(float).max)
 
 
 def test_rotate_rows_applies_the_plane_rotation_convention():
