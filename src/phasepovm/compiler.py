@@ -12,9 +12,9 @@ place, one element at a time, without forming it.
 
 Two routes produce the same netlist for extension matrices: a closed
 form (one bootstrap pair followed by rotation triplets on neighbouring
-mode pairs) and a generic elimination that left-multiplies Z by
-rotations until the identity remains, and carries the identity along
-to give the elimination netlist's transfer matrix in the same sweep.
+mode pairs) and a generic elimination that left-multiplies a copy of Z
+by rotations until the identity remains, so the copy it leaves is the
+elimination netlist's own round trip EZ.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _matrix(z) -> np.ndarray:
     return np.asarray(z.Z if isinstance(z, ExtensionMatrix) else z, dtype=complex)
 
 
-def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
+def eliminate(z) -> tuple[Netlist, float]:
     """Factorize a unitary by eliminating it down to the identity.
 
     Accepts an ExtensionMatrix or a plain square array. If the
@@ -158,10 +158,11 @@ def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
     emitted list, in the order applied, is the application-order netlist
     of the adjoint.
 
-    Returns that netlist, its transfer matrix (evaluate_netlist of it, bit
-    for bit: one sweep of [Z | I] gives every column the same arithmetic)
-    and the max-abs entry of the swept Z minus the identity. It raises only
-    for a shape that is not square, even and >= 2; decompose_by_elimination judges.
+    Returns that netlist and the max-abs entry of the swept copy of Z
+    minus the identity. That is the netlist's own round trip EZ - I, with
+    the bits of identity_gap(apply_netlist(netlist, z.copy())), since
+    every column gets the same arithmetic. It raises only for a shape
+    that is not square, even and >= 2; decompose_by_elimination judges.
     """
     z = _matrix(z)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
@@ -170,10 +171,9 @@ def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
     if m < 2 or m % 2 != 0:
         raise ValueError(f"mode count must be even and >= 2, got {m}")
 
-    a = np.hstack([z, np.eye(m)])
-    left = a[:, :m]
+    a = z.copy()
     elements: list[NetlistElement] = []
-    if np.max(np.abs(left[:2].imag)) > PIVOT_TOL:
+    if np.max(np.abs(a[:2].imag)) > PIVOT_TOL:
         elements += BOOTSTRAP
         for e in BOOTSTRAP:
             _apply_element(a, e)
@@ -185,16 +185,15 @@ def eliminate(z) -> tuple[Netlist, np.ndarray, float]:
             (2 * k + 3, 2 * k + 4, 2 * k + 3),
         )
         for u, v, col in schedule:
-            lower = left[v - 1, col - 1]
+            lower = a[v - 1, col - 1]
             if abs(lower) <= PIVOT_TOL:
                 continue
-            omega = float(np.arctan2(lower.real, left[u - 1, col - 1].real))
+            omega = float(np.arctan2(lower.real, a[u - 1, col - 1].real))
             g = GivensRotation(u, v, omega)
             _apply_element(a, g)
             elements.append(g)
 
-    residual = identity_gap(left)  # in place: [Z | I] is the largest array alive here
-    return Netlist(M=m, elements=tuple(elements)), a[:, m:].copy(), residual
+    return Netlist(M=m, elements=tuple(elements)), identity_gap(a)
 
 
 def decompose_by_elimination(z) -> Netlist:
@@ -205,7 +204,7 @@ def decompose_by_elimination(z) -> Netlist:
     identity miss above ELIMINATION_RESIDUAL_TOL.
     """
     z = _matrix(z)
-    net, _, residual = eliminate(z)
+    net, residual = eliminate(z)
     # a NaN residual must fail, so test "<=" rather than ">"
     if not gram_residuals(z)["unitarity"] <= COMPARISON_TOL:
         raise ValueError(f"input matrix is not unitary within {COMPARISON_TOL}")

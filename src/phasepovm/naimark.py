@@ -170,6 +170,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
         raise RuntimeError(
             f"M={m}: I - X†X has imaginary parts up to {imaginary:.3e}, not a real matrix"
         )
+    del g, real  # G is M x M complex: free it before Z takes its place
     z = np.zeros((m, m), dtype=complex)
     z[:2] = x
     z[2:, :n] = lower.T

@@ -169,9 +169,14 @@ def analytic_phase_table(m: int, phis) -> np.ndarray:
 
     Row i is (1/M) (1 + cos(wrap(phis[i]) - 2*pi*k/M)) for k = 0..M-1,
     the same elementwise arithmetic as analytic_phase_distribution.
+    A NaN or infinite phase is a ValueError that names it.
     """
     m = validate_outcome_count(m)
-    phis = np.remainder(np.asarray(phis, dtype=float), TWO_PI)
+    phis = np.asarray(phis, dtype=float)
+    bad = phis[~np.isfinite(phis)]
+    if bad.size:
+        raise ValueError(f"phi must be finite, got {float(bad[0])}")
+    phis = np.remainder(phis, TWO_PI)
     phis[phis == TWO_PI] = 0.0  # as in wrap_phase
     k = np.arange(m)
     return (1.0 + np.cos(phis[:, None] - TWO_PI * k / m)) / m

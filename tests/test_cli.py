@@ -438,6 +438,19 @@ def test_sweep_memory_does_not_grow_with_steps(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("m", [512, 1024])
+def test_verify_holds_at_most_three_and_a_quarter_m_by_m_arrays(m, tmp_path, capsys):
+    # Z, one working copy of it and the modulus of that copy: about 3 x 16 M^2 bytes
+    tracemalloc.start()
+    try:
+        assert run("verify", "--M", str(m), "--out", str(tmp_path / "v.json")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * m * m) <= 3.25
+    capsys.readouterr()
+
+
 def test_sweep_steps_zero_is_usage_error(capsys):
     assert run("sweep", "--M", "4", "--steps", "0") == 1
     capsys.readouterr()
@@ -476,7 +489,7 @@ def test_compile_verify_and_verify_report_the_same_round_trip_bits(monkeypatch, 
     assert run("compile", "--M", str(m), "--verify", "--out", str(tmp_path / "n.json")) == 0
     assert run("verify", "--M", str(m), "--out", str(tmp_path / "v.json")) == 0
     compiled, verified = (checks["netlist_round_trip"] for checks in judged)
-    # N applied to a copy of Z and to [I | Z] gives the same residual, bit for bit
+    # both commands apply N to a copy of Z through one helper: the same bits
     assert compiled.hex() == verified.hex()
     written = json.loads((tmp_path / "v.json").read_text())["checks"]["netlist_round_trip"]
     assert written.hex() == verified.hex()

@@ -15,6 +15,7 @@ from phasepovm.numerics import (
     max_gap,
     partial_trace_ancilla,
     rotate_rows,
+    row_slices,
     write_csv_rows,
     write_json_rows,
 )
@@ -216,10 +217,21 @@ def gap_pairs(draw):
     return pair[0], pair[1]
 
 
+def three_block_pair(value):
+    """Two 520 x 256 arrays a gap of 0.5 apart, with ``value`` in the last of their three blocks."""
+    assert len(row_slices(520, 256)) == 3
+    a, b = np.zeros((520, 256), dtype=complex), np.full((520, 256), 0.5 + 0j)
+    a[-1, 7] = value
+    return a, b
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair=gap_pairs())
 @example(pair=(np.array([[1.0, np.nan]]), np.array([[1.0, 2.0]])))
 @example(pair=(np.array([[complex(0.0, np.inf)]]), np.array([[complex(np.inf, np.inf)]])))
+@example(pair=three_block_pair(np.nan))
+@example(pair=three_block_pair(complex(0.0, np.inf)))
+@example(pair=three_block_pair(3.0))
 def test_max_gap_keeps_a_nan_and_the_bits_of_the_max_abs_difference(pair):
     a, b = pair
     with np.errstate(invalid="ignore", over="ignore"):

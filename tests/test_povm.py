@@ -182,6 +182,16 @@ def test_analytic_table_reads_a_tiny_negative_phase_as_zero(m):
     assert np.array_equal(got.view(np.int64), zero.view(np.int64))
 
 
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_analytic_table_refuses_a_non_finite_phase_by_name(phi):
+    # the message of the CLI's --phi check
+    message = f"phi must be finite, got {phi}"
+    with pytest.raises(ValueError, match=message):
+        analytic_phase_table(8, [0.5, phi, 1.0])
+    with pytest.raises(ValueError, match=message):
+        analytic_phase_distribution(8, phi)
+
+
 def test_validate_density_accepts_states_and_rejects_garbage():
     rng = np.random.default_rng(SEED)
     for _ in range(50):
