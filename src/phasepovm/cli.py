@@ -61,7 +61,6 @@ from .optics import (
 )
 from .povm import (
     analytic_phase_distribution,
-    analytic_phase_table,
     guessing_probability,
     outcome_distribution,
     phase_povm,
@@ -391,7 +390,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi); each block
     # builds only its own grid points, so memory does not grow with --steps
     blocks = (
-        np.column_stack((phis, analytic_phase_table(args.M, phis)))
+        np.column_stack((phis, analytic_phase_distribution(args.M, phis).probabilities))
         for rows in row_slices(args.steps, args.M + 1)
         for phis in [2.0 * np.pi * np.arange(*rows.indices(args.steps)) / args.steps]
     )
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -29,6 +29,7 @@ from .numerics import gram_residuals, max_gap, row_slices, write_csv_rows, write
 # because bench/test_bench.py lists naimark.povm_element among the
 # cross-module names its tracer wraps
 from .povm import (  # noqa: F401
+    _check_outcome_index,
     click_probabilities,
     phase_povm,
     povm_element,
@@ -146,7 +147,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     """
     m = validate_outcome_count(m)
     n = m - 2
-    x = np.sqrt(2.0 / m) * np.stack([psi_k(m, k) for k in column_order(m)], axis=1)
+    x = np.sqrt(2.0 / m) * psi_k(m, column_order(m)).T
     g = x.conj().T @ -x
     g[np.diag_indices(m)] += 1.0
     real = g.real
@@ -180,9 +181,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
 
 def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
     """Rank-one projector P_k = Z_k Z_k† onto the extended direction k."""
-    if not 0 <= int(k) < ext.M:
-        raise ValueError(f"outcome index k={k} out of range for M={ext.M}")
-    col = ext.column_for_outcome(int(k))
+    col = ext.column_for_outcome(_check_outcome_index(ext.M, k))
     return np.outer(col, col.conj())
 
 

@@ -270,7 +270,7 @@ def _click_statistics(v: np.ndarray, rho) -> OutcomeDistribution:
     (S, 2, 2) stack of states gives one row of probabilities per state.
     """
     p = click_probabilities(v, validate_density(rho))
-    return OutcomeDistribution(M=len(v), probabilities=p)
+    return OutcomeDistribution(probabilities=p)
 
 
 def simulate_direct(scheme: Scheme, rho) -> OutcomeDistribution:

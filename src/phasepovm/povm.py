@@ -32,31 +32,39 @@ def validate_outcome_count(m: int) -> int:
     return m
 
 
-def _check_outcome_index(m: int, k: int) -> int:
-    k = int(k)
-    if not 0 <= k < m:
-        raise ValueError(f"outcome index k={k} out of range for M={m}")
-    return k
+def _check_outcome_index(m: int, k):
+    """Check that k, or each entry of an array k, is an integer in range(m); an int stays an int."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        raise ValueError(f"outcome index must be an integer, got {k!r}")
+    bad = ks[(ks < 0) | (ks >= m)]
+    if bad.size:
+        raise ValueError(f"outcome index k={bad[0]} out of range for M={m}")
+    return ks if ks.ndim else int(ks)
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap a phase into [0, 2*pi); a tiny negative one that % rounds up to 2*pi is 0."""
-    w = float(phi) % TWO_PI
-    return 0.0 if w == TWO_PI else w
+def wrap_phase(phi):
+    """Wrap a float or an array into [0, 2*pi); a value that rounds up to 2*pi there is 0."""
+    w = np.remainder(np.asarray(phi, dtype=float), TWO_PI)
+    w = np.where(w == TWO_PI, 0.0, w)
+    return w if w.ndim else float(w)
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities over the M outcomes, indexed by k; (S, M) for S states."""
 
-    M: int
     probabilities: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.ndim not in (1, 2) or p.shape[-1] != self.M:
-            raise ValueError(f"expected {self.M} probabilities, got shape {p.shape}")
+        if p.ndim not in (1, 2):
+            raise ValueError(f"expected (M,) or (S, M) probabilities, got shape {p.shape}")
         object.__setattr__(self, "probabilities", p)
+
+    @property
+    def M(self) -> int:
+        return self.probabilities.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -66,40 +74,44 @@ class PhasePovm:
     elements[k] is the 2x2 operator Pi_k; the list sums to the identity.
     """
 
-    M: int
     elements: np.ndarray  # shape (M, 2, 2)
 
+    @property
+    def M(self) -> int:
+        return len(self.elements)
 
-def psi_k(m: int, k: int) -> np.ndarray:
+
+def psi_k(m: int, k) -> np.ndarray:
     """Unit vector along which element k of the measurement projects.
 
-    Returns (e^{-i pi k/M}, e^{i pi k/M}) / sqrt(2).
+    Returns (e^{-i pi k/M}, e^{i pi k/M}) / sqrt(2); an array of S indices
+    gives one vector per row, shape (S, 2).
     """
     m = validate_outcome_count(m)
-    k = _check_outcome_index(m, k)
-    a = np.pi * k / m
-    return np.array([np.exp(-1j * a), np.exp(1j * a)]) / np.sqrt(2.0)
+    a = np.pi * _check_outcome_index(m, k) / m
+    return np.stack([np.exp(-1j * a), np.exp(1j * a)], axis=-1) / np.sqrt(2.0)
 
 
-def povm_element(m: int, k: int) -> np.ndarray:
-    """Measurement element Pi_k = (2/M) |psi_k><psi_k|."""
-    v = psi_k(m, k)
-    return (2.0 / m) * np.outer(v, v.conj())
+def _outer(v: np.ndarray) -> np.ndarray:
+    """|v><v| for a vector, or one per row of a stack."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def povm_element(m: int, k) -> np.ndarray:
+    """Measurement element Pi_k = (2/M) |psi_k><psi_k|; (S, 2, 2) for S indices."""
+    return (2.0 / m) * _outer(psi_k(m, k))
 
 
 def phase_povm(m: int) -> PhasePovm:
     """Build all M elements of the phase measurement."""
     m = validate_outcome_count(m)
-    a = np.pi * np.arange(m) / m
-    v = np.stack([np.exp(-1j * a), np.exp(1j * a)], axis=1) / np.sqrt(2.0)
-    elements = (2.0 / m) * (v[:, :, None] * v.conj()[:, None, :])
-    return PhasePovm(M=m, elements=elements)
+    return PhasePovm(elements=povm_element(m, np.arange(m)))
 
 
-def pure_phase_state(phi: float) -> np.ndarray:
-    """Density matrix of (|0> + e^{i phi} |1>)/sqrt(2)."""
-    v = np.array([1.0, np.exp(1j * wrap_phase(phi))]) / np.sqrt(2.0)
-    return np.outer(v, v.conj())
+def pure_phase_state(phi) -> np.ndarray:
+    """Density matrix of (|0> + e^{i phi} |1>)/sqrt(2); (S, 2, 2) for S phases."""
+    u = np.exp(1j * wrap_phase(phi))
+    return _outer(np.stack([np.ones_like(u), u], axis=-1) / np.sqrt(2.0))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -150,7 +162,7 @@ def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
     blocks = povm.elements.reshape(2 * povm.M, 2) @ rho
     blocks = blocks.reshape(*rho.shape[:-2], povm.M, 2, 2)
     p = np.trace(blocks, axis1=-2, axis2=-1).real
-    return OutcomeDistribution(M=povm.M, probabilities=p)
+    return OutcomeDistribution(probabilities=p)
 
 
 def click_probabilities(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -164,31 +176,20 @@ def outcome_probability(povm: PhasePovm, k: int, rho) -> float:
     return float(outcome_distribution(povm, rho).probabilities[k])
 
 
-def analytic_phase_table(m: int, phis) -> np.ndarray:
-    """Closed-form P(k | phi) for every phase in ``phis``, one row per phase.
-
-    Row i is (1/M) (1 + cos(wrap(phis[i]) - 2*pi*k/M)) for k = 0..M-1,
-    the same elementwise arithmetic as analytic_phase_distribution.
-    A NaN or infinite phase is a ValueError that names it.
-    """
-    m = validate_outcome_count(m)
-    phis = np.asarray(phis, dtype=float)
-    bad = phis[~np.isfinite(phis)]
-    if bad.size:
-        raise ValueError(f"phi must be finite, got {float(bad[0])}")
-    phis = np.remainder(phis, TWO_PI)
-    phis[phis == TWO_PI] = 0.0  # as in wrap_phase
-    k = np.arange(m)
-    return (1.0 + np.cos(phis[:, None] - TWO_PI * k / m)) / m
-
-
-def analytic_phase_distribution(m: int, phi: float) -> OutcomeDistribution:
+def analytic_phase_distribution(m: int, phi) -> OutcomeDistribution:
     """Closed-form outcome distribution for the pure input phase phi.
 
-    P(k) = (1/M) (1 + cos(phi - 2*pi*k/M)); sums to 1 for every phi.
+    P(k) = (1/M) (1 + cos(phi - 2*pi*k/M)); sums to 1 for every phi. An
+    array of S phases gives one row per phase, shape (S, M). A NaN or
+    infinite phase is a ValueError that names it.
     """
-    p = analytic_phase_table(m, [float(phi)])[0]  # validates M and wraps phi
-    return OutcomeDistribution(M=p.size, probabilities=p)
+    m = validate_outcome_count(m)
+    phi = np.asarray(phi, dtype=float)
+    bad = phi[~np.isfinite(phi)]
+    if bad.size:
+        raise ValueError(f"phi must be finite, got {float(bad[0])}")
+    p = (1.0 + np.cos(np.expand_dims(wrap_phase(phi), -1) - TWO_PI * np.arange(m) / m)) / m
+    return OutcomeDistribution(probabilities=p)
 
 
 def guessing_probability(m: int) -> float:
@@ -199,9 +200,7 @@ def guessing_probability(m: int) -> float:
     (1/M) * sum_k <phi_k| Pi_k |phi_k|>, which evaluates to 2/M.
     """
     m = validate_outcome_count(m)
-    u = np.exp(1j * (TWO_PI * np.arange(m) / m))
-    v = np.stack([np.ones(m), u], axis=1) / np.sqrt(2.0)
-    states = v[:, :, None] * v.conj()[:, None, :]
+    states = pure_phase_state(TWO_PI * np.arange(m) / m)
     p = np.trace(phase_povm(m).elements @ states, axis1=1, axis2=2).real
     # cumsum adds left to right; np.sum's pairwise order moves the last digit
     return float(np.cumsum(p)[-1]) / m

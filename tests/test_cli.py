@@ -2,8 +2,12 @@
 
 import collections
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,7 +512,7 @@ def test_verify_fails_on_a_nan_simulator_residual(monkeypatch, capsys):
         p = real(scheme, rho).probabilities.copy()
         assert p.shape == (naimark.NUM_STATES, scheme.M)
         p[1] = np.nan
-        return OutcomeDistribution(M=scheme.M, probabilities=p)
+        return OutcomeDistribution(probabilities=p)
 
     monkeypatch.setattr(cli, "simulate_direct", nan_on_second_state)
     assert run("verify", "--M", "8") == 2
@@ -526,7 +530,7 @@ def test_verify_exits_2_when_the_recursion_cannot_complete(monkeypatch, capsys):
 
 def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):
     def nan_folded(m, rho):
-        return OutcomeDistribution(M=m, probabilities=np.full(m, np.nan))
+        return OutcomeDistribution(probabilities=np.full(m, np.nan))
 
     monkeypatch.setattr(cli, "simulate_folded", nan_folded)
     assert run("simulate", "--M", "8", "--phi", "0.7", "--scheme", "direct") == 2
@@ -598,3 +602,45 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert runs[0] == runs[1], args
         code, out, _, files = runs[0]
         assert code == 0 and bool(files) == to_file and bool(out) != to_file, args
+
+
+# LAPACK's Cholesky changes bits with the BLAS thread count, so the
+# recursive Z and its distance from the closed form may differ; the
+# value is masked, its verdict is not
+_RECURSIVE_GAP = re.compile(r"((?:^|\")closed_vs_recursive(?:\")?: )[^ ,\n]+", re.M)
+
+
+def _run_under_blas_threads(folder: Path, threads: str) -> dict:
+    """Every output of extend and verify at M=256 in a child with ``threads`` BLAS threads."""
+    folder.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    outputs = {}
+    for args in (
+        ("extend", "--M", "256", "--out", "e.json"),
+        ("verify", "--M", "256", "--seed", "3", "--out", "v.json"),
+    ):
+        # relative --out names, so stderr's "wrote" line names the same paths
+        child = [sys.executable, "-m", "phasepovm.cli", *args]
+        done = subprocess.run(
+            child, cwd=folder, env=env, capture_output=True, text=True, check=False
+        )
+        outputs[args[0]] = (done.returncode, done.stdout, _RECURSIVE_GAP.sub(r"\1*", done.stderr))
+    for p in sorted(folder.iterdir()):
+        text = p.read_text(encoding="utf-8")
+        outputs[p.name] = text if p.name == "e_recursive.json" else _RECURSIVE_GAP.sub(r"\1*", text)
+    return outputs
+
+
+def test_only_the_recursive_z_depends_on_the_blas_thread_count(tmp_path):
+    one, two = (_run_under_blas_threads(tmp_path / n, n) for n in ("1", "2"))
+    assert list(one) == ["extend", "verify", "e_closed.json", "e_recursive.json", "v.json"]
+    assert one["extend"][0] == one["verify"][0] == 0
+    for name in one:
+        if name != "e_recursive.json":
+            assert one[name] == two[name], name
+    # the masks hide one value in each of the three outputs that carry it
+    assert one["extend"][2].count("closed_vs_recursive: * [ok]") == 1
+    assert one["verify"][2].count("closed_vs_recursive: * [ok]") == 1
+    assert one["v.json"].count('"closed_vs_recursive": *,') == 1

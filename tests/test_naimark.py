@@ -274,8 +274,10 @@ def test_recursive_fails_when_the_top_rows_are_not_orthonormal(
 def test_recursive_rejects_a_non_real_gram_matrix(monkeypatch):
     # a small phase per column keeps Re G complete to 1e-15 but makes
     # Im G about 1e-8; the real factor would drop that part silently
-    phases = {k: np.exp(1e-8j * k) for k in range(8)}
-    monkeypatch.setattr(naimark, "psi_k", lambda m, k: phases[k] * psi_k(m, k))
+    def tilted(m, k):  # e^{1e-8 i k} times psi_k, for one index or an array of them
+        return np.exp(1e-8j * np.asarray(k))[..., None] * psi_k(m, k)
+
+    monkeypatch.setattr(naimark, "psi_k", tilted)
     with pytest.raises(RuntimeError, match=r"M=8: I - X†X has imaginary parts up to 1\.6\d+e-08"):
         build_extension_recursive(8)
 
@@ -343,6 +345,13 @@ def test_projectors_orthogonal_idempotent_and_reduce_to_povm(m):
             assert np.max(np.abs(projs[k] @ projs[l])) <= 1e-12
     total = sum(projs)
     np.testing.assert_allclose(total, np.eye(m), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [2.7, -0.5, "3", 8, -1])
+def test_projector_refuses_a_bad_outcome_index(bad):
+    # a float index used to be truncated, so 2.7 read outcome 2
+    with pytest.raises(ValueError, match="outcome index"):
+        projector(build_extension_closed(8), bad)
 
 
 def test_embed_with_ancilla_places_state_in_first_block():

@@ -9,7 +9,6 @@ from phasepovm.povm import (
     TWO_PI,
     OutcomeDistribution,
     analytic_phase_distribution,
-    analytic_phase_table,
     click_probabilities,
     guessing_probability,
     outcome_distribution,
@@ -178,7 +177,8 @@ def test_wrap_phase_never_reaches_two_pi(phi):
 
 @pytest.mark.parametrize("m", [2, 16])
 def test_analytic_table_reads_a_tiny_negative_phase_as_zero(m):
-    got, zero = analytic_phase_table(m, [-1e-20, -0.0]), analytic_phase_table(m, [0.0, 0.0])
+    got = analytic_phase_distribution(m, [-1e-20, -0.0]).probabilities
+    zero = analytic_phase_distribution(m, [0.0, 0.0]).probabilities
     assert np.array_equal(got.view(np.int64), zero.view(np.int64))
 
 
@@ -187,7 +187,7 @@ def test_analytic_table_refuses_a_non_finite_phase_by_name(phi):
     # the message of the CLI's --phi check
     message = f"phi must be finite, got {phi}"
     with pytest.raises(ValueError, match=message):
-        analytic_phase_table(8, [0.5, phi, 1.0])
+        analytic_phase_distribution(8, [0.5, phi, 1.0])
     with pytest.raises(ValueError, match=message):
         analytic_phase_distribution(8, phi)
 
@@ -258,6 +258,86 @@ def test_guessing_probability_is_two_over_m(m, expected):
 
 
 def test_outcome_distribution_shape_checked():
-    for shape in [(3,), (5, 3), (2, 5, 4), (4, 1)]:
+    for shape in [(), (2, 5, 4)]:
         with pytest.raises(ValueError):
-            OutcomeDistribution(M=4, probabilities=np.zeros(shape))
+            OutcomeDistribution(probabilities=np.zeros(shape))
+
+
+def test_records_read_m_off_their_arrays():
+    assert phase_povm(16).M == 16
+    assert OutcomeDistribution(probabilities=np.zeros(8)).M == 8
+    assert OutcomeDistribution(probabilities=np.zeros((3, 8))).M == 8
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+PHASES = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8)
+TINY_PHASES = [-0.0, 0.0, -5e-324, -1e-300, -1e-20, -4.4e-16, -5e-16, TWO_PI, 1e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(PHASES)
+@example(TINY_PHASES)
+def test_phase_functions_on_an_array_equal_the_scalar_calls_row_by_row(phis):
+    wrapped = wrap_phase(np.array(phis))
+    states = pure_phase_state(np.array(phis))
+    for i, phi in enumerate(phis):
+        assert type(wrap_phase(phi)) is float
+        assert _same_bits(wrapped[i], wrap_phase(phi))
+        assert _same_bits(states[i], pure_phase_state(phi))
+    for m in (2, 16):
+        table = analytic_phase_distribution(m, phis)
+        assert table.M == m and table.probabilities.shape == (len(phis), m)
+        for i, phi in enumerate(phis):
+            row = analytic_phase_distribution(m, phi).probabilities
+            assert row.shape == (m,) and _same_bits(table.probabilities[i], row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([2**j for j in range(1, 13)]), data=st.data())
+def test_psi_k_and_povm_element_on_an_array_equal_the_scalar_calls_row_by_row(m, data):
+    ks = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+    vectors, elements = psi_k(m, np.array(ks)), povm_element(m, ks)
+    for i, k in enumerate(ks):
+        assert psi_k(m, k).shape == (2,) and _same_bits(vectors[i], psi_k(m, k))
+        assert povm_element(m, k).shape == (2, 2) and _same_bits(elements[i], povm_element(m, k))
+
+
+@pytest.mark.parametrize("m", [2**j for j in range(1, 13)])
+def test_guessing_probability_keeps_the_bits_of_its_own_state_formula(m):
+    # the candidate states as guessing_probability built them before it
+    # read them from pure_phase_state
+    u = np.exp(1j * (TWO_PI * np.arange(m) / m))
+    v = np.stack([np.ones(m), u], axis=1) / np.sqrt(2.0)
+    states = v[:, :, None] * v.conj()[:, None, :]
+    p = np.trace(phase_povm(m).elements @ states, axis1=1, axis2=2).real
+    assert guessing_probability(m).hex() == (float(np.cumsum(p)[-1]) / m).hex()
+
+
+@pytest.mark.parametrize("bad", [2.7, -0.5, "3", np.float64(1.0), True])
+def test_a_non_integer_outcome_index_is_refused(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        psi_k(8, bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        povm_element(8, bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        outcome_probability(phase_povm(8), bad, pure_phase_state(0.3))
+
+
+@pytest.mark.parametrize("bad", [8, -1, 11])
+def test_an_array_with_one_bad_index_is_refused_by_name(bad):
+    ks = np.array([0, 3, bad, 7, 12])
+    with pytest.raises(ValueError, match=f"outcome index k={bad} out of range for M=8"):
+        psi_k(8, ks)
+    with pytest.raises(ValueError, match=f"outcome index k={bad} out of range for M=8"):
+        povm_element(8, ks)
+
+
+def test_an_array_with_one_nan_phase_is_refused_by_name():
+    phis = np.linspace(0.0, 6.0, 50)
+    phis[31] = np.nan
+    with pytest.raises(ValueError, match="phi must be finite, got nan"):
+        analytic_phase_distribution(8, phis)
