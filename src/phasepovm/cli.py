@@ -46,8 +46,10 @@ from .compiler import (  # noqa: F401
     netlists_equal,
 )
 from .naimark import (
+    _closed_form_columns,
     build_extension_closed,
     build_extension_recursive,
+    column_order,
     random_states,
     verify_naimark,
     write_extension_csv,
@@ -330,7 +332,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _round_trip_gap(net, z: np.ndarray) -> float:
-    """netlist_round_trip: max-abs entry of NZ - I, formed in place in ``z``, a copy of Z."""
+    """netlist_round_trip: max-abs entry of NZ - I, formed in place in ``z``, a writable Z."""
     return identity_gap(apply_netlist(net, z))
 
 
@@ -344,7 +346,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.verify:
         # the check covers the written bytes, parsed back, not the object
         written = netlist_from_json_dict(json.loads(text))
-        z = build_extension_closed(args.M).Z.copy()  # only the copy stays alive
+        # a writable closed Z, built as the only M x M array
+        z = _closed_form_columns(args.M, column_order(args.M))
         checks = {"netlist_round_trip": _round_trip_gap(written, z)}
         if not _judge(checks, DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance):
             return EXIT_VERIFICATION

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gram_residuals, max_gap, row_slices, write_csv_rows, write_json_rows
+from .numerics import (
+    _work_slices,
+    gram_residuals,
+    max_gap,
+    row_slices,
+    write_csv_rows,
+    write_json_rows,
+)
 
 # povm_element is not called here; it stays importable from this module
 # because bench/test_bench.py lists naimark.povm_element among the
@@ -92,7 +99,9 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
     one position later, after an explicit zero. Entries that the
     pattern would place beyond position M are zero and are truncated.
 
-    Every row pair j (rows 2j+2, 2j+3) is filled for every column at once.
+    Every row pair j (rows 2j+2, 2j+3) is filled for every column at once,
+    one block of row pairs at a time, so the index and quotient tables
+    stay one block's size.
     """
     ks = np.asarray(ks)
     half = m // 2
@@ -110,11 +119,14 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
     upper = np.concatenate([-cos2, sin2])
     lower = np.concatenate([-sin2, -cos2])
     upper[[0, half]] = lower[[0, half]] = 0.0
-    j = np.arange(half - 1)[:, None]
-    pick = np.maximum(kk - j, 0) + half * high
-    den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
-    z[2::2] = upper[pick] / den
-    z[3::2] = lower[pick] / den
+    pairs = z[2:].reshape(half - 1, 2, ks.size)  # pairs[j] is rows 2j+2, 2j+3
+    js = np.arange(half - 1)[:, None]
+    for r in _work_slices(half - 1, 2 * ks.size):
+        j = js[r]
+        pick = np.maximum(kk - j, 0) + half * high
+        den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
+        pairs[r, 0] = upper[pick] / den
+        pairs[r, 1] = lower[pick] / den
     norm_pos = 2 * kk + 2 + high
     has_norm = norm_pos < m
     kn = kk[has_norm]
@@ -150,7 +162,10 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
     x = np.sqrt(2.0 / m) * psi_k(m, column_order(m)).T
     g = x.conj().T @ -x
     g[np.diag_indices(m)] += 1.0
-    real = g.real
+    # G is M x M complex: keep its real part and its largest imaginary
+    # part, and free it before the factorization
+    real, imaginary = g.real.copy(), max_gap(g.imag, 0)
+    del g
     try:
         lower = np.linalg.cholesky(real[:n, :n])
     except np.linalg.LinAlgError as exc:
@@ -162,16 +177,15 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
         b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
     # a NaN residual must fail, so test "not <=" rather than ">"
     completion = max_gap(b.T @ b, real[n:, n:])
+    del real  # free it before Z takes its place
     if not completion <= SKIP_TOL:
         raise RuntimeError(
             f"M={m}: the last two columns miss G[M-2:, M-2:] by {completion:.3e}"
         )
-    imaginary = float(np.max(np.abs(g.imag)))
     if not imaginary <= SKIP_TOL:
         raise RuntimeError(
             f"M={m}: I - X†X has imaginary parts up to {imaginary:.3e}, not a real matrix"
         )
-    del g, real  # G is M x M complex: free it before Z takes its place
     z = np.zeros((m, m), dtype=complex)
     z[:2] = x
     z[2:, :n] = lower.T

@@ -4,7 +4,10 @@ Matrices and vectors are numpy arrays of complex128. Composite
 ancilla-plus-qubit spaces always use ancilla-major ordering: basis index
 2*a + s for ancilla level a and qubit level s, so the qubit index varies
 fastest. rotate_rows and identity_gap write into the array they are
-given; no other public function here changes an array argument.
+given; no other public function here changes an array argument. The
+checks bound their temporaries to one block of rows of at most
+WORK_VALUES entries, so beside the M x M arrays a command must hold
+they form none of their own size.
 
 The export writers live here too: one float formatter, and CSV and JSON
 writers that stream a table to an open text file one block of rows at a
@@ -23,6 +26,9 @@ import numpy as np
 
 # Floats per block of rows a writer formats at once; bounds its memory.
 BLOCK_VALUES = 1 << 16
+
+# Entries per block of rows a check's temporaries span; bounds their memory.
+WORK_VALUES = 1 << 14
 
 # json.dumps spells the non-finite floats this way; repr gives nan, inf, -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -80,16 +86,20 @@ def gram_residuals(a) -> dict[str, float]:
     diag = _minus_identity(gram)
     norms = np.max(np.abs(diag))
     diag -= diag  # now the off-diagonal part alone
-    skew = np.concatenate([p[rows], q]).T @ np.concatenate([q, -p[rows]])
-    diag = np.einsum("ii->i", skew)
-    diag -= diag  # zero in exact arithmetic; the product leaves rounding there
-    # squared moduli in place: no complex M x M array and no temporary (a
+    # the skew product folds into gram one block of rows at a time, as
+    # squared moduli in place: no second M x M array and no complex one (a
     # modulus below 1e-154 squares to 0 and one above 1e154 to inf)
-    gram *= gram
-    skew *= skew
-    gram += skew
+    left, right = np.concatenate([p[rows], q]), np.concatenate([q, -p[rows]])
+    for r in _work_slices(m, m):
+        skew = left[:, r].T @ right
+        diag = np.einsum("ii->i", skew[:, r])
+        diag -= diag  # zero in exact arithmetic; the product leaves rounding there
+        skew *= skew
+        block = gram[r]
+        block *= block
+        block += skew
     orthogonality = np.sqrt(np.max(gram))
-    del gram, skew, diag
+    del gram, block  # block is a view of gram
 
     outer = p @ p.T
     outer[np.ix_(rows, rows)] += q @ q.T
@@ -114,17 +124,19 @@ def gram_residuals(a) -> dict[str, float]:
 def max_gap(a, b) -> float:
     """Largest |a - b| entry, a block of rows at a time; np.max keeps a NaN, which fails."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-    rows = row_slices(len(a), max(1, a[:1].size))
+    rows = _work_slices(len(a), max(1, a[:1].size))
     return float(np.max([np.max(np.abs(a[r] - b[r])) for r in rows]))
 
 
 def identity_gap(a: np.ndarray) -> float:
     """Max-abs entry of A - I for a square array A, which is left holding A - I.
 
-    No second M x M array is formed; np.max keeps a NaN, which fails ``<= tol``.
+    |A - I| is taken one block of rows at a time, through max_gap(A - I, 0),
+    so no second M x M array is formed; np.max keeps a NaN, which fails
+    ``<= tol``.
     """
     _minus_identity(a)
-    return float(np.max(np.abs(a)))
+    return max_gap(a, 0)
 
 
 def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:
@@ -178,6 +190,12 @@ def partial_trace_ancilla(p) -> np.ndarray:
 def row_slices(n_rows: int, row_len: int) -> list[slice]:
     """Consecutive row ranges of at most BLOCK_VALUES floats (one row at least)."""
     step = max(1, BLOCK_VALUES // row_len)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _work_slices(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row ranges of at most WORK_VALUES entries (one row at least)."""
+    step = max(1, WORK_VALUES // row_len)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 

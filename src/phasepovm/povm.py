@@ -44,8 +44,15 @@ def _check_outcome_index(m: int, k):
 
 
 def wrap_phase(phi):
-    """Wrap a float or an array into [0, 2*pi); a value that rounds up to 2*pi there is 0."""
-    w = np.remainder(np.asarray(phi, dtype=float), TWO_PI)
+    """Wrap a float or an array into [0, 2*pi); a value that rounds up to 2*pi there is 0.
+
+    A NaN or infinite phase is a ValueError that names it.
+    """
+    phi = np.asarray(phi, dtype=float)
+    bad = phi[~np.isfinite(phi)]
+    if bad.size:
+        raise ValueError(f"phi must be finite, got {float(bad[0])}")
+    w = np.remainder(phi, TWO_PI)
     w = np.where(w == TWO_PI, 0.0, w)
     return w if w.ndim else float(w)
 
@@ -170,10 +177,15 @@ def click_probabilities(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ka,...ab,kb->...k", v, rho, v.conj()).real
 
 
-def outcome_probability(povm: PhasePovm, k: int, rho) -> float:
-    """Probability Tr[Pi_k rho] of recording outcome k on state rho."""
+def outcome_probability(povm: PhasePovm, k, rho):
+    """Probability Tr[Pi_k rho] of recording outcome k on state rho.
+
+    One index gives a float; an array of indices gives one probability
+    per index, in an array of its shape.
+    """
     k = _check_outcome_index(povm.M, k)
-    return float(outcome_distribution(povm, rho).probabilities[k])
+    p = outcome_distribution(povm, rho).probabilities[..., k]
+    return p if p.ndim else float(p)
 
 
 def analytic_phase_distribution(m: int, phi) -> OutcomeDistribution:
@@ -181,13 +193,9 @@ def analytic_phase_distribution(m: int, phi) -> OutcomeDistribution:
 
     P(k) = (1/M) (1 + cos(phi - 2*pi*k/M)); sums to 1 for every phi. An
     array of S phases gives one row per phase, shape (S, M). A NaN or
-    infinite phase is a ValueError that names it.
+    infinite phase is a ValueError that names it (wrap_phase's).
     """
     m = validate_outcome_count(m)
-    phi = np.asarray(phi, dtype=float)
-    bad = phi[~np.isfinite(phi)]
-    if bad.size:
-        raise ValueError(f"phi must be finite, got {float(bad[0])}")
     p = (1.0 + np.cos(np.expand_dims(wrap_phase(phi), -1) - TWO_PI * np.arange(m) / m)) / m
     return OutcomeDistribution(probabilities=p)
 

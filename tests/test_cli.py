@@ -442,16 +442,38 @@ def test_sweep_memory_does_not_grow_with_steps(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("m", [512, 1024])
-def test_verify_holds_at_most_three_and_a_quarter_m_by_m_arrays(m, tmp_path, capsys):
-    # Z, one working copy of it and the modulus of that copy: about 3 x 16 M^2 bytes
+def _traced_peak(m, *argv):
+    """Traced peak of one successful command, in M x M complex arrays (16 M^2 bytes)."""
     tracemalloc.start()
     try:
-        assert run("verify", "--M", str(m), "--out", str(tmp_path / "v.json")) == 0
+        assert run(*argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * m * m) <= 3.25
+    return peak / (16 * m * m)
+
+
+@pytest.mark.parametrize("m", [512, 1024])
+def test_verify_holds_at_most_two_and_three_quarter_m_by_m_arrays(m, tmp_path, capsys):
+    # the peak is the recursion, built while the closed Z is alive: Z beside
+    # G and its real part, then beside that real part and its Cholesky
+    # factor, then beside the factor and the recursive Z, about 2.5 arrays
+    assert _traced_peak(m, "verify", "--M", str(m), "--out", str(tmp_path / "v.json")) <= 2.75
+    capsys.readouterr()
+
+
+def test_extend_holds_at_most_two_and_three_quarter_m_by_m_arrays(tmp_path, capsys):
+    # the same recursion; at M=1024 the writer's blocks stay below it
+    m = 1024
+    assert _traced_peak(m, "extend", "--M", str(m), "--out", str(tmp_path / "e.json")) <= 2.75
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", [512, 1024])
+def test_compile_verify_holds_at_most_one_and_a_half_m_by_m_arrays(m, tmp_path, capsys):
+    # the netlist is applied to the one closed Z, built writable: no copy of it
+    argv = ("compile", "--M", str(m), "--verify", "--out", str(tmp_path / "n.json"))
+    assert _traced_peak(m, *argv) <= 1.5
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasepovm.numerics import (
+    _work_slices,
     gram_residuals,
     identity_gap,
     max_gap,
@@ -183,6 +184,63 @@ def test_gram_residuals_equal_the_dense_products(a):
     assert np.isnan(got["unitarity"]) == bool(np.isnan(a).any())
 
 
+def _gram_residuals_one_shot(a):
+    """gram_residuals' formula with the skew product and each |.| formed whole."""
+    m = len(a)
+    rows = np.flatnonzero((a.imag != 0).any(axis=1))
+    stack = np.concatenate([a.real, a.imag[rows]])
+    p, q = stack[:m], stack[m:]
+    gram = stack.T @ stack
+    diag = np.einsum("ii->i", gram)
+    diag -= 1.0
+    norms = np.max(np.abs(diag))
+    diag -= diag
+    skew = np.concatenate([p[rows], q]).T @ np.concatenate([q, -p[rows]])
+    diag = np.einsum("ii->i", skew)
+    diag -= diag
+    gram = gram * gram + skew * skew
+    orthogonality = np.sqrt(np.max(gram))
+    outer = p @ p.T
+    outer[np.ix_(rows, rows)] += q @ q.T
+    np.einsum("ii->i", outer)[:] -= 1.0
+    band = q @ p.T
+    band[:, rows] -= band[:, rows].T
+    outer = outer * outer
+    outer[rows] += band * band
+    unitarity = np.maximum(np.maximum(norms, orthogonality), np.sqrt(np.max(outer)))
+    return {"orthogonality": orthogonality, "norms": norms, "unitarity": unitarity}
+
+
+def last_block_unitary(change, complex_rows):
+    """A 200 x 200 unitary, complex in ``complex_rows``, changed in its last column.
+
+    A†A is folded in three blocks of rows, and columns 198 and 199 both
+    fall in the last: "tilt" leans column 199 towards 198, which puts the
+    largest entry of A†A - I in that block alone; any other change is
+    the new value of the corner entry.
+    """
+    rng = np.random.default_rng(SEED)
+    a = np.linalg.qr(rng.normal(size=(200, 200)))[0] + 0j
+    a[complex_rows] *= np.exp(1j * rng.uniform(0.1, 3.0, size=(len(a[complex_rows]), 1)))
+    if change == "tilt":
+        a[:, 199] += 0.01 * a[:, 198]
+    else:
+        a[199, 199] = change
+    return a
+
+
+@pytest.mark.parametrize("complex_rows", [[], [0, 1], slice(None)])
+@pytest.mark.parametrize("change", ["tilt", np.nan, complex(0.5, np.nan), np.inf])
+def test_gram_residuals_over_three_blocks_equal_the_one_shot_bits(change, complex_rows):
+    a = last_block_unitary(change, complex_rows)
+    assert len(_work_slices(len(a), len(a))) == 3
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _gram_residuals_one_shot(a)
+        got = gram_residuals(a)
+    for name, value in expected.items():
+        assert np.float64(got[name]).view(np.int64) == value.view(np.int64), name
+
+
 # entry parts of the gap tests: any float64, mixed with 0.0, -0.0, 1.0 and NaN
 GAP_PARTS = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]))
 
@@ -194,10 +252,21 @@ def identity_gap_inputs(draw):
     return draw(arrays(np.float64, (n, n, 2), elements=GAP_PARTS)).view(complex)[..., 0]
 
 
+def last_block_square(value, n=200):
+    """An n x n array near I, three working blocks of rows, with ``value`` in its last row."""
+    assert len(_work_slices(n, n)) == 3
+    a = np.eye(n, dtype=complex) + 1e-3 * np.sin(np.arange(n * n)).reshape(n, n)
+    a[-1, 5] = value
+    return a
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=identity_gap_inputs())
 @example(a=np.array([[complex(-0.0, -0.0), 0.0], [np.nan, 1.0]]))
 @example(a=np.eye(3, dtype=complex))
+@example(a=last_block_square(np.nan))
+@example(a=last_block_square(complex(0.0, np.inf)))
+@example(a=last_block_square(3.0))
 def test_identity_gap_is_the_max_gap_in_place_bit_for_bit(a):
     expected_matrix = a - np.eye(len(a))
     expected = np.max(np.abs(expected_matrix))
@@ -217,10 +286,10 @@ def gap_pairs(draw):
     return pair[0], pair[1]
 
 
-def three_block_pair(value):
-    """Two 520 x 256 arrays a gap of 0.5 apart, with ``value`` in the last of their three blocks."""
-    assert len(row_slices(520, 256)) == 3
-    a, b = np.zeros((520, 256), dtype=complex), np.full((520, 256), 0.5 + 0j)
+def three_block_pair(value, slices=row_slices, n_rows=520):
+    """Two n_rows x 256 arrays a gap of 0.5 apart, with ``value`` in the last of their three blocks."""
+    assert len(slices(n_rows, 256)) == 3
+    a, b = np.zeros((n_rows, 256), dtype=complex), np.full((n_rows, 256), 0.5 + 0j)
     a[-1, 7] = value
     return a, b
 
@@ -232,6 +301,9 @@ def three_block_pair(value):
 @example(pair=three_block_pair(np.nan))
 @example(pair=three_block_pair(complex(0.0, np.inf)))
 @example(pair=three_block_pair(3.0))
+@example(pair=three_block_pair(np.nan, _work_slices, 130))
+@example(pair=three_block_pair(complex(0.0, np.inf), _work_slices, 130))
+@example(pair=three_block_pair(3.0, _work_slices, 130))
 def test_max_gap_keeps_a_nan_and_the_bits_of_the_max_abs_difference(pair):
     a, b = pair
     with np.errstate(invalid="ignore", over="ignore"):

@@ -341,3 +341,24 @@ def test_an_array_with_one_nan_phase_is_refused_by_name():
     phis[31] = np.nan
     with pytest.raises(ValueError, match="phi must be finite, got nan"):
         analytic_phase_distribution(8, phis)
+
+
+def test_the_phase_wrap_refuses_a_non_finite_phase_by_name():
+    # the one finite check sits in wrap_phase, so every phase-taking function shares it
+    with pytest.raises(ValueError, match="phi must be finite, got nan"):
+        pure_phase_state(float("nan"))
+    with pytest.raises(ValueError, match="phi must be finite, got inf"):
+        pure_phase_state(np.array([0.1, np.inf]))
+    with pytest.raises(ValueError, match="phi must be finite, got -inf"):
+        wrap_phase(-np.inf)
+
+
+@pytest.mark.parametrize("m", [2, 8, 256])
+def test_outcome_probability_takes_an_index_array(m):
+    povm, rho = phase_povm(m), pure_phase_state(0.3)
+    ks = [m - 1, 0, m // 2, 1]
+    got = outcome_probability(povm, ks, rho)
+    expected = [outcome_probability(povm, k, rho) for k in ks]
+    assert all(type(p) is float for p in expected)
+    assert got.shape == (4,)
+    assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
