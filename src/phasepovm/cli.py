@@ -305,25 +305,31 @@ def _extension_paths(args: argparse.Namespace) -> tuple[Path, Path]:
     )
 
 
-def _extension_checks(m: int, seed: int):
-    """(closed, checks, recursive): closed_vs_recursive, then verify_naimark's five."""
+def _closed_vs_recursive(m: int, recursive):
+    """(closed, checks): the closed Z, built beside ``recursive``, and closed_vs_recursive.
+
+    Callers build the recursion first, so its G, real part and Cholesky
+    factor are freed before the closed Z exists, and drop it before the
+    Gram work: no more than two Z are ever alive.
+    """
     closed = build_extension_closed(m)
-    # the Gram work runs before the recursive Z exists, so it never holds both
-    naimark_checks = verify_naimark(closed, seed=seed)
-    recursive = build_extension_recursive(m)
-    checks = {"closed_vs_recursive": max_gap(closed.Z, recursive.Z), **naimark_checks}
-    return closed, checks, recursive
+    return closed, {"closed_vs_recursive": max_gap(closed.Z, recursive.Z)}
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
     # refuses a directory before anything is built
     path_closed, path_recursive = _extension_paths(args)
-    closed, checks, recursive = _extension_checks(args.M, args.seed)
-
     write = write_extension_json if args.output_format == "json" else write_extension_csv
-    for ext, path in ((closed, path_closed), (recursive, path_recursive)):
-        with _output(str(path)) as fh:
-            write(ext, fh)
+
+    # each file is written before it is judged, and while its Z is the only one
+    recursive = build_extension_recursive(args.M)
+    with _output(str(path_recursive)) as fh:
+        write(recursive, fh)
+    closed, checks = _closed_vs_recursive(args.M, recursive)
+    del recursive
+    checks.update(verify_naimark(closed, seed=args.seed))
+    with _output(str(path_closed)) as fh:
+        write(closed, fh)
 
     _note(f"wrote {path_closed} and {path_recursive}")
     ok = _judge(checks, args.tolerance)
@@ -427,7 +433,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Whole-pipeline battery: extension, netlist, and both simulators."""
-    closed, checks = _extension_checks(args.M, args.seed)[:2]  # the recursive Z is not kept
+    recursive = build_extension_recursive(args.M)
+    closed, checks = _closed_vs_recursive(args.M, recursive)
+    del recursive  # closed_vs_recursive is its only use
+    checks.update(verify_naimark(closed, seed=args.seed))
 
     net = decompose_closed(args.M)
     checks["netlist_round_trip"] = _round_trip_gap(net, closed.Z.copy())

@@ -137,7 +137,12 @@ def validate_density(rho) -> np.ndarray:
     trace = np.trace(rho, axis1=-2, axis2=-1)
     if (abs(trace.real - 1.0) > DENSITY_TOL).any() or (abs(trace.imag) > DENSITY_TOL).any():
         raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -DENSITY_TOL:
+    # the smallest eigenvalue of the Hermitian lower triangle in closed form,
+    # the triangle eigvalsh reads by default; the halves are taken before
+    # subtracting, so no step can overflow
+    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+    smallest = 0.5 * (a + d) - np.hypot(0.5 * a - 0.5 * d, np.abs(rho[..., 1, 0]))
+    if np.min(smallest) < -DENSITY_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

@@ -190,6 +190,7 @@ def test_extend_refuses_a_directory_before_building(tmp_path, monkeypatch, capsy
         raise AssertionError("built an extension before refusing --out")
 
     monkeypatch.setattr(cli, "build_extension_closed", unreachable)
+    monkeypatch.setattr(cli, "build_extension_recursive", unreachable)
     target = tmp_path / "some_dir"
     target.mkdir()
     # a trailing slash names a directory even when there is none
@@ -454,18 +455,19 @@ def _traced_peak(m, *argv):
 
 
 @pytest.mark.parametrize("m", [512, 1024])
-def test_verify_holds_at_most_two_and_three_quarter_m_by_m_arrays(m, tmp_path, capsys):
-    # the peak is the recursion, built while the closed Z is alive: Z beside
-    # G and its real part, then beside that real part and its Cholesky
-    # factor, then beside the factor and the recursive Z, about 2.5 arrays
-    assert _traced_peak(m, "verify", "--M", str(m), "--out", str(tmp_path / "v.json")) <= 2.75
+def test_verify_holds_at_most_two_and_a_quarter_m_by_m_arrays(m, tmp_path, capsys):
+    # the recursion's G, real part and Cholesky factor are freed before the
+    # closed Z is built, and the recursive Z before the Gram work: the peak
+    # is two Z, the closed one beside the recursive one or beside its copy
+    assert _traced_peak(m, "verify", "--M", str(m), "--out", str(tmp_path / "v.json")) <= 2.25
     capsys.readouterr()
 
 
-def test_extend_holds_at_most_two_and_three_quarter_m_by_m_arrays(tmp_path, capsys):
-    # the same recursion; at M=1024 the writer's blocks stay below it
+def test_extend_holds_at_most_two_and_a_quarter_m_by_m_arrays(tmp_path, capsys):
+    # each file is written while its Z is the only one, so from M = 1024 the
+    # peak is the two Z that closed_vs_recursive compares
     m = 1024
-    assert _traced_peak(m, "extend", "--M", str(m), "--out", str(tmp_path / "e.json")) <= 2.75
+    assert _traced_peak(m, "extend", "--M", str(m), "--out", str(tmp_path / "e.json")) <= 2.25
     capsys.readouterr()
 
 
@@ -548,6 +550,40 @@ def test_verify_exits_2_when_the_recursion_cannot_complete(monkeypatch, capsys):
     monkeypatch.setattr(naimark, "psi_k", lambda m, k: 0.9 * psi_k(m, k))
     assert run("verify", "--M", "8") == 2
     assert "verification failure: M=8" in capsys.readouterr().err
+
+
+def test_extend_exits_2_and_writes_nothing_when_the_recursion_cannot_complete(
+    monkeypatch, tmp_path, capsys
+):
+    # the recursion runs first, so it fails before either file is opened
+    monkeypatch.setattr(naimark, "psi_k", lambda m, k: 0.9 * psi_k(m, k))
+    assert run("extend", "--M", "8", "--out", str(tmp_path / "f.json")) == 2
+    assert "verification failure: M=8" in capsys.readouterr().err
+    assert not (tmp_path / "f_closed.json").exists()
+    assert not (tmp_path / "f_recursive.json").exists()
+
+
+def test_no_state_check_calls_the_eigensolver(monkeypatch, tmp_path, capsys):
+    # validate_density tests positivity in closed form, without LAPACK
+    state = tmp_path / "mixed.json"
+    state.write_text(json.dumps([[[0.7, 0.0], [0.2, -0.1]], [[0.2, 0.1], [0.3, 0.0]]]))
+    commands = [
+        ("verify", "--M", "16"),
+        ("compare", "--M", "16", "--phi", "0.3"),
+        ("simulate", "--M", "16", "--state-file", str(state), "--scheme", "folded"),
+    ]
+
+    def outputs():
+        return [(run(*argv), capsys.readouterr()) for argv in commands]
+
+    expected = outputs()
+    assert [code for code, _ in expected] == [0, 0, 0]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a state check called np.linalg.eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    assert outputs() == expected
 
 
 def test_simulate_both_fails_on_a_nan_folded_result(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepovm.povm import (
+    DENSITY_TOL,
     TWO_PI,
     OutcomeDistribution,
     analytic_phase_distribution,
@@ -204,6 +205,52 @@ def test_validate_density_accepts_states_and_rejects_garbage():
         validate_density(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
         validate_density(np.diag([1.5, -0.5]))
+
+
+@st.composite
+def hermitian_unit_trace(draw):
+    """A Hermitian unit-trace 2x2 matrix: random, near pure, huge off its diagonal,
+    or with its smallest eigenvalue near -DENSITY_TOL or +DENSITY_TOL."""
+    kind = draw(st.sampled_from(["random", "near_pure", "huge", "threshold"]))
+    if kind in ("near_pure", "threshold"):
+        if kind == "near_pure":
+            low = draw(st.floats(-1e-9, 1e-9))
+        else:
+            low = draw(st.sampled_from([-DENSITY_TOL, DENSITY_TOL])) + draw(st.floats(-1e-12, 1e-12))
+        # eigenvalues low and 1 - low in a random basis
+        theta, phase = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, TWO_PI))
+        c, s = np.cos(theta), np.exp(1j * phase) * np.sin(theta)
+        u = np.array([[c, -s.conjugate()], [s, c]])
+        rho = u @ np.diag([low, 1.0 - low]) @ u.conj().T
+    else:
+        bound = 1.0 if kind == "random" else 1e300
+        a = draw(st.floats(-1.0, 2.0))
+        off = complex(draw(st.floats(-bound, bound)), draw(st.floats(-bound, bound)))
+        rho = np.array([[a, off.conjugate()], [off, 1.0 - a]])
+    # the upper triangle may miss the lower's conjugate within the Hermitian
+    # tolerance; the positivity test, like eigvalsh, reads the lower
+    rho[0, 1] += draw(st.floats(-0.5, 0.5)) * DENSITY_TOL
+    return rho
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(hermitian_unit_trace(), min_size=1, max_size=4))
+@example([np.diag([1.0 + DENSITY_TOL, -DENSITY_TOL]).astype(complex)])
+@example([np.diag([DENSITY_TOL, 1.0 - DENSITY_TOL]).astype(complex)])
+@example([np.array([[0.5, 1e300], [1e300, 0.5]], dtype=complex)])
+def test_the_positivity_test_decides_as_eigvalsh(states):
+    stack = np.array(states)
+    # eigvalsh is the oracle only; validate_density does not call it
+    oracle = np.min(np.linalg.eigvalsh(stack))
+    try:
+        validate_density(stack)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "density matrix has a negative eigenvalue"
+        accepted = False
+    # within 1e-14 of the threshold either rounding may decide
+    if abs(oracle + DENSITY_TOL) > 1e-14:
+        assert accepted == (oracle >= -DENSITY_TOL), (oracle, stack)
 
 
 @pytest.mark.parametrize(
