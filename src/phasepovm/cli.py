@@ -55,7 +55,7 @@ from .naimark import (
     write_extension_csv,
     write_extension_json,
 )
-from .numerics import identity_gap, max_gap, row_slices, write_csv_rows, write_json_rows
+from .numerics import BLOCK_VALUES, identity_gap, max_gap, row_slices, write_csv_rows, write_json_rows
 from .optics import (
     build_direct_scheme,
     simulate_direct,
@@ -69,6 +69,7 @@ from .povm import (
     pure_phase_state,
     validate_density,
     validate_outcome_count,
+    wrap_phase,
 )
 
 EXIT_OK = 0
@@ -112,10 +113,7 @@ def _tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
 
 
-@_flag_type(float)
-def _phase(phi: float) -> None:
-    if not np.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+_phase = _flag_type(float)(wrap_phase)
 
 
 @_flag_type(int)
@@ -400,7 +398,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # builds only its own grid points, so memory does not grow with --steps
     blocks = (
         np.column_stack((phis, analytic_phase_distribution(args.M, phis).probabilities))
-        for rows in row_slices(args.steps, args.M + 1)
+        for rows in row_slices(args.steps, args.M + 1, BLOCK_VALUES)
         for phis in [2.0 * np.pi * np.arange(*rows.indices(args.steps)) / args.steps]
     )
     with _output(args.out) as fh:

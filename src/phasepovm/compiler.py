@@ -248,24 +248,21 @@ def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
     return True
 
 
-def netlist_to_json_dict(n: Netlist) -> dict:
-    """The interchange schema that ``compile`` writes and ``netlist_from_json_dict`` reads."""
-    elements = []
-    for e in n.elements:
-        if isinstance(e, GivensRotation):
-            elements.append(
-                {"kind": "givens", "u": e.u, "v": e.v, "omega": float(e.omega)}
-            )
-        else:
-            elements.append({"kind": "phase", "u": e.u, "phi": float(e.phi)})
-    return {"M": n.M, "elements": elements}
-
-
 # Each netlist JSON kind: its element type and typed fields, in argument order
 _JSON_ELEMENTS = {
     "givens": (GivensRotation, (("u", int), ("v", int), ("omega", float))),
     "phase": (PhaseShift, (("u", int), ("phi", float))),
 }
+
+
+def netlist_to_json_dict(n: Netlist) -> dict:
+    """The interchange schema that ``compile`` writes and ``netlist_from_json_dict`` reads."""
+    kinds = {cls: (kind, fields) for kind, (cls, fields) in _JSON_ELEMENTS.items()}
+    elements = []
+    for e in n.elements:
+        kind, fields = kinds[type(e)]
+        elements.append({"kind": kind, **{key: t(getattr(e, key)) for key, t in fields}})
+    return {"M": n.M, "elements": elements}
 
 
 def is_json_number(value) -> bool:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    _work_slices,
+    BLOCK_VALUES,
+    WORK_VALUES,
     gram_residuals,
     max_gap,
     row_slices,
@@ -37,6 +38,7 @@ from .numerics import (
 # cross-module names its tracer wraps
 from .povm import (  # noqa: F401
     _check_outcome_index,
+    _outer,
     click_probabilities,
     phase_povm,
     povm_element,
@@ -121,7 +123,7 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
     upper[[0, half]] = lower[[0, half]] = 0.0
     pairs = z[2:].reshape(half - 1, 2, ks.size)  # pairs[j] is rows 2j+2, 2j+3
     js = np.arange(half - 1)[:, None]
-    for r in _work_slices(half - 1, 2 * ks.size):
+    for r in row_slices(half - 1, 2 * ks.size, WORK_VALUES):
         j = js[r]
         pick = np.maximum(kk - j, 0) + half * high
         den = np.sqrt((m - 2 * j) * (m - 2 * j - 2))
@@ -196,7 +198,7 @@ def build_extension_recursive(m: int) -> ExtensionMatrix:
 def projector(ext: ExtensionMatrix, k: int) -> np.ndarray:
     """Rank-one projector P_k = Z_k Z_k† onto the extended direction k."""
     col = ext.column_for_outcome(_check_outcome_index(ext.M, k))
-    return np.outer(col, col.conj())
+    return _outer(col)
 
 
 def random_states(seed: int) -> np.ndarray:
@@ -228,7 +230,7 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     # reference[j] is Pi_k for the outcome k that column j carries
     reference = phase_povm(ext.M).elements[list(ext.column_order)]
     top = ext.Z[:2].T
-    max_block = max_gap(top[:, :, None] * top.conj()[:, None, :], reference)
+    max_block = max_gap(_outer(top), reference)
 
     rhos = random_states(seed)
     # |e1><e1| x rho is zero outside its top 2x2 block, so Tr[P_j lifted] is
@@ -248,7 +250,7 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
 
 def _row_blocks(ext: ExtensionMatrix):
     """Blocks of Z's rows as floats, each entry's real part then its imaginary part."""
-    for rows in row_slices(ext.M, 2 * ext.M):
+    for rows in row_slices(ext.M, 2 * ext.M, BLOCK_VALUES):
         yield np.ascontiguousarray(ext.Z[rows], dtype=complex).view(np.float64)
 
 

@@ -24,7 +24,8 @@ import textwrap
 
 import numpy as np
 
-# Floats per block of rows a writer formats at once; bounds its memory.
+# Floats per block of rows a writer formats at once; bounds its memory. Larger
+# than WORK_VALUES, as the formatter table a writer carries shrinks with it.
 BLOCK_VALUES = 1 << 16
 
 # Entries per block of rows a check's temporaries span; bounds their memory.
@@ -90,7 +91,7 @@ def gram_residuals(a) -> dict[str, float]:
     # squared moduli in place: no second M x M array and no complex one (a
     # modulus below 1e-154 squares to 0 and one above 1e154 to inf)
     left, right = np.concatenate([p[rows], q]), np.concatenate([q, -p[rows]])
-    for r in _work_slices(m, m):
+    for r in row_slices(m, m, WORK_VALUES):
         skew = left[:, r].T @ right
         diag = np.einsum("ii->i", skew[:, r])
         diag -= diag  # zero in exact arithmetic; the product leaves rounding there
@@ -124,7 +125,7 @@ def gram_residuals(a) -> dict[str, float]:
 def max_gap(a, b) -> float:
     """Largest |a - b| entry, a block of rows at a time; np.max keeps a NaN, which fails."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-    rows = _work_slices(len(a), max(1, a[:1].size))
+    rows = row_slices(len(a), max(1, a[:1].size), WORK_VALUES)
     return float(np.max([np.max(np.abs(a[r] - b[r])) for r in rows]))
 
 
@@ -187,15 +188,9 @@ def partial_trace_ancilla(p) -> np.ndarray:
     return p[:2, :2].copy()
 
 
-def row_slices(n_rows: int, row_len: int) -> list[slice]:
-    """Consecutive row ranges of at most BLOCK_VALUES floats (one row at least)."""
-    step = max(1, BLOCK_VALUES // row_len)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
-def _work_slices(n_rows: int, row_len: int) -> list[slice]:
-    """Consecutive row ranges of at most WORK_VALUES entries (one row at least)."""
-    step = max(1, WORK_VALUES // row_len)
+def row_slices(n_rows: int, row_len: int, budget: int) -> list[slice]:
+    """Consecutive row ranges of at most ``budget`` entries (one row at least)."""
+    step = max(1, budget // row_len)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 

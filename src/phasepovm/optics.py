@@ -34,11 +34,6 @@ from .povm import OutcomeDistribution, click_probabilities, validate_density, va
 
 NORM_TOL = 1e-12
 
-# In the final time slot of the folded scheme the loop splitter is set
-# fully transmissive, so the whole remaining amplitude exits to the
-# detectors and nothing survives in the loop.
-EXIT_SLOT_BS_ANGLE = 0.0
-
 
 def mode_index(path: int, polarization: str) -> int:
     """0-based amplitude slot of (path, polarization), paths 1-based."""
@@ -279,20 +274,21 @@ def simulate_direct(scheme: Scheme, rho) -> OutcomeDistribution:
 
 
 def build_folded_schedule(m: int) -> list[float]:
-    """Tap fraction of each active slot of the folded (loop) scheme.
+    """Tap fraction of each of the M/2 slots of the folded (loop) scheme.
 
-    Slot k+1 (k = 0..M/2-2) lets out the share 2/(M - 2k) of the loop's
+    Slot k+1 (k = 0..M/2-1) lets out the share 2/(M - 2k) of the loop's
     remaining probability, so each slot carries 2/M; its splitter
     transmits sqrt(tap) and keeps sqrt(1 - tap). The taps come from the
     outcome weights, not from triplet_angle, so the direct and folded
-    layouts cross-check their splitters too. Every slot rotates the loop
-    polarization by pi + pi/M, and the final slot M/2 sends everything
-    out (EXIT_SLOT_BS_ANGLE). M=2 needs no loop and is rejected.
+    layouts cross-check their splitters too; tap k is cos^2 of block k's
+    angle. The last tap, of block k = M/2-1 with angle 0, is exactly 1:
+    slot M/2 sends everything out. Every slot rotates the loop
+    polarization by pi + pi/M. M=2 needs no loop and is rejected.
     """
     m = validate_outcome_count(m)
     if m == 2:
         raise ValueError("M=2 has a single block and no loop; use the direct scheme")
-    return [2.0 / (m - 2 * k) for k in range(m // 2 - 1)]
+    return [2.0 / (m - 2 * k) for k in range(m // 2)]
 
 
 def _folded_isometry(m: int) -> np.ndarray:
@@ -302,9 +298,9 @@ def _folded_isometry(m: int) -> np.ndarray:
     each of the two input modes (columns). Each round trip applies the
     slot's beam splitter, records the exiting pair on the detectors, and
     keeps the reflected pair in the loop through the polarization
-    rotation. The final slot exits everything (see build_folded_schedule),
-    leaving zero residual norm in the loop. This builds V independently
-    of the direct scheme's element list, so the two cross-check.
+    rotation. The last slot's tap is 1 (see build_folded_schedule), so it
+    exits everything. This builds V independently of the direct scheme's
+    element list, so the two cross-check.
     """
     taps = build_folded_schedule(m)  # validates m first
     # initial block: polarization rotation pi/4 then waveplate pi/2
@@ -317,7 +313,6 @@ def _folded_isometry(m: int) -> np.ndarray:
         clicks[k] = np.sqrt(tap) * hv
         # reflected pair stays in the loop and gets rotated
         hv = np.array([[cr, sr], [-sr, cr]]) @ (-np.sqrt(1.0 - tap) * hv)
-    clicks[m // 2 - 1] = np.cos(EXIT_SLOT_BS_ANGLE) * hv
     return clicks.transpose(1, 0, 2).reshape(m, 2)
 
 

@@ -159,7 +159,7 @@ def random_density(rng: np.random.Generator, pure: bool | None = None) -> np.nda
     if pure:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = v / np.linalg.norm(v)
-        return np.outer(v, v.conj())
+        return _outer(v)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

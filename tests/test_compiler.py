@@ -1,10 +1,11 @@
 """Tests for the Givens-rotation factorization of the extension unitary."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepovm.compiler import (
@@ -327,14 +328,62 @@ _ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
 
 
 @st.composite
-def _netlists(draw):
-    m = draw(st.integers(2, 32))
-    rotation = st.tuples(st.integers(1, m - 1), st.integers(1, m - 1), _ANGLE).map(
+def _netlists(draw, angle=_ANGLE, max_m=32):
+    m = draw(st.integers(2, max_m))
+    rotation = st.tuples(st.integers(1, m - 1), st.integers(1, m - 1), angle).map(
         lambda t: GivensRotation(t[0], t[0] + (t[1] % (m - t[0])) + 1, t[2])
     )
-    phase = st.builds(PhaseShift, st.integers(1, m), _ANGLE)
+    phase = st.builds(PhaseShift, st.integers(1, m), angle)
     elements = draw(st.lists(st.one_of(rotation, phase), max_size=40))
     return Netlist(M=m, elements=tuple(elements))
+
+
+# any finite float64, with the signed zeros, the smallest subnormal and the extremes
+_JSON_ANGLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+)
+_EXTREME_NETLIST = Netlist(
+    M=4096,
+    elements=(
+        GivensRotation(1, 4096, -0.0),
+        PhaseShift(4096, 0.0),
+        GivensRotation(4095, 4096, 5e-324),
+        PhaseShift(1, -0.0),
+        GivensRotation(2, 3, 1e308),
+        PhaseShift(7, -1e308),
+    ),
+)
+
+
+def _literal_json_dict(n):
+    """The netlist JSON with each kind's field names spelled out, independent of the schema table."""
+    elements = []
+    for e in n.elements:
+        if isinstance(e, GivensRotation):
+            elements.append({"kind": "givens", "u": e.u, "v": e.v, "omega": float(e.omega)})
+        else:
+            elements.append({"kind": "phase", "u": e.u, "phi": float(e.phi)})
+    return {"M": n.M, "elements": elements}
+
+
+def _angle_bits(n):
+    """Each element's angle as its int64 bit pattern, so -0.0 and 0.0 differ."""
+    angles = [e.omega if isinstance(e, GivensRotation) else e.phi for e in n.elements]
+    return np.array(angles, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_netlists(_JSON_ANGLE, max_m=4096))
+@example(_EXTREME_NETLIST)
+@example(decompose_closed(256))
+def test_netlist_json_round_trip_is_exact(net):
+    text = json.dumps(netlist_to_json_dict(net), indent=2)
+    assert text == json.dumps(_literal_json_dict(net), indent=2)
+    rebuilt = netlist_from_json_dict(json.loads(text))
+    assert rebuilt == net
+    # == takes -0.0 for 0.0, so each angle's sign bit is compared on its own
+    assert _angle_bits(rebuilt) == _angle_bits(net)
 
 
 @settings(max_examples=60, deadline=None)

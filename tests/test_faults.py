@@ -132,8 +132,10 @@ def swapped_folded_rows():
     return [(optics, "_folded_isometry", lambda m: build(m)[[1, 0, *range(2, m)]])]
 
 
-def exit_slot_angle():
-    return [(optics, "EXIT_SLOT_BS_ANGLE", 1e-3)]
+def leaking_exit_tap():
+    # the exit splitter keeps 1e-6 of the loop's share instead of letting all of it out
+    schedule = optics.build_folded_schedule
+    return [(optics, "build_folded_schedule", lambda m: [*schedule(m)[:-1], 1.0 - 1e-6])]
 
 
 # (fault, patches, checks expected to FAIL, structural match expected)
@@ -184,7 +186,7 @@ FAULTS = [
         True,
     ),
     ("folded_v_rows_swapped", swapped_folded_rows, {"folded_vs_direct"}, True),
-    ("exit_slot_angle", exit_slot_angle, {"folded_vs_direct"}, True),
+    ("exit_slot_tap_leaks", leaking_exit_tap, {"folded_vs_direct"}, True),
 ]
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasepovm.numerics import (
-    _work_slices,
+    BLOCK_VALUES,
+    WORK_VALUES,
     gram_residuals,
     identity_gap,
     max_gap,
@@ -233,7 +234,7 @@ def last_block_unitary(change, complex_rows):
 @pytest.mark.parametrize("change", ["tilt", np.nan, complex(0.5, np.nan), np.inf])
 def test_gram_residuals_over_three_blocks_equal_the_one_shot_bits(change, complex_rows):
     a = last_block_unitary(change, complex_rows)
-    assert len(_work_slices(len(a), len(a))) == 3
+    assert len(row_slices(len(a), len(a), WORK_VALUES)) == 3
     with np.errstate(invalid="ignore", over="ignore"):
         expected = _gram_residuals_one_shot(a)
         got = gram_residuals(a)
@@ -254,7 +255,7 @@ def identity_gap_inputs(draw):
 
 def last_block_square(value, n=200):
     """An n x n array near I, three working blocks of rows, with ``value`` in its last row."""
-    assert len(_work_slices(n, n)) == 3
+    assert len(row_slices(n, n, WORK_VALUES)) == 3
     a = np.eye(n, dtype=complex) + 1e-3 * np.sin(np.arange(n * n)).reshape(n, n)
     a[-1, 5] = value
     return a
@@ -286,9 +287,9 @@ def gap_pairs(draw):
     return pair[0], pair[1]
 
 
-def three_block_pair(value, slices=row_slices, n_rows=520):
+def three_block_pair(value, budget=BLOCK_VALUES, n_rows=520):
     """Two n_rows x 256 arrays a gap of 0.5 apart, with ``value`` in the last of their three blocks."""
-    assert len(slices(n_rows, 256)) == 3
+    assert len(row_slices(n_rows, 256, budget)) == 3
     a, b = np.zeros((n_rows, 256), dtype=complex), np.full((n_rows, 256), 0.5 + 0j)
     a[-1, 7] = value
     return a, b
@@ -301,9 +302,9 @@ def three_block_pair(value, slices=row_slices, n_rows=520):
 @example(pair=three_block_pair(np.nan))
 @example(pair=three_block_pair(complex(0.0, np.inf)))
 @example(pair=three_block_pair(3.0))
-@example(pair=three_block_pair(np.nan, _work_slices, 130))
-@example(pair=three_block_pair(complex(0.0, np.inf), _work_slices, 130))
-@example(pair=three_block_pair(3.0, _work_slices, 130))
+@example(pair=three_block_pair(np.nan, WORK_VALUES, 130))
+@example(pair=three_block_pair(complex(0.0, np.inf), WORK_VALUES, 130))
+@example(pair=three_block_pair(3.0, WORK_VALUES, 130))
 def test_max_gap_keeps_a_nan_and_the_bits_of_the_max_abs_difference(pair):
     a, b = pair
     with np.errstate(invalid="ignore", over="ignore"):

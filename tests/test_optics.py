@@ -18,7 +18,6 @@ from phasepovm.naimark import build_extension_closed, column_order
 from phasepovm.numerics import gram_residuals, rotate_rows
 from phasepovm.optics import (
     Detector,
-    EXIT_SLOT_BS_ANGLE,
     ModeAmplitudes,
     PBS,
     PPBS,
@@ -80,9 +79,6 @@ def _reference_folded(m, rho):
             pairs[k, 1] += val * float(np.abs(c * v) ** 2)
             h, v = -s * h, -s * v
             h, v = cr * h + sr * v, -sr * h + cr * v
-        c = np.cos(EXIT_SLOT_BS_ANGLE)
-        pairs[m // 2 - 1, 0] += val * float(np.abs(c * h) ** 2)
-        pairs[m // 2 - 1, 1] += val * float(np.abs(c * v) ** 2)
     return pairs
 
 
@@ -622,11 +618,47 @@ def test_simulate_netlist_agrees_with_direct_scheme():
 
 def test_folded_schedule_m8_values():
     taps = build_folded_schedule(8)
-    np.testing.assert_allclose(taps, [1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0], atol=1e-15)
+    np.testing.assert_allclose(taps, [1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], atol=1e-15)
     # the tap is cos^2 of the direct scheme's block angle
-    angles = [triplet_angle(8, k) for k in range(3)]
+    angles = [triplet_angle(8, k) for k in range(4)]
     np.testing.assert_allclose(taps, np.cos(angles) ** 2, atol=1e-15)
     assert all(a < b for a, b in zip(taps, taps[1:]))
+
+
+FOLDED_MS = [2**n for n in range(2, 13)]
+
+
+@pytest.mark.parametrize("m", FOLDED_MS)
+def test_folded_schedule_has_a_tap_per_block_and_the_last_is_one(m):
+    taps = build_folded_schedule(m)
+    assert len(taps) == m // 2
+    assert all(a < b for a, b in zip(taps, taps[1:]))
+    # the exit slot is block M/2 - 1, whose angle is 0: its tap is exactly 1
+    assert taps[-1] == 1.0
+    angles = [triplet_angle(m, k) for k in range(m // 2)]
+    assert angles[-1] == 0.0
+    np.testing.assert_allclose(taps, np.cos(angles) ** 2, rtol=0, atol=1e-15)
+
+
+def _folded_isometry_with_exit_line(m):
+    """The loop over the M/2 - 1 active slots, then the exit slot written out as cos(0) * hv."""
+    hv = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+    hv[1] *= np.exp(-1j * np.pi / 2)
+    clicks = np.empty((m // 2, 2, 2), dtype=complex)
+    cr, sr = np.cos(np.pi + np.pi / m), np.sin(np.pi + np.pi / m)
+    for k in range(m // 2 - 1):
+        tap = 2.0 / (m - 2 * k)
+        clicks[k] = np.sqrt(tap) * hv
+        hv = np.array([[cr, sr], [-sr, cr]]) @ (-np.sqrt(1.0 - tap) * hv)
+    clicks[m // 2 - 1] = np.cos(0.0) * hv
+    return clicks.transpose(1, 0, 2).reshape(m, 2)
+
+
+@pytest.mark.parametrize("m", FOLDED_MS)
+def test_folded_isometry_equals_the_exit_line_form_bit_for_bit(m):
+    got = _folded_isometry(m)
+    expected = _folded_isometry_with_exit_line(m)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_folded_schedule_rejects_m2():
