@@ -307,7 +307,7 @@ def _folded_isometry(m: int) -> np.ndarray:
     hv = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
     hv[1] *= np.exp(-1j * np.pi / 2)
     # clicks[k] is the exiting pair of slot k+1: outcomes k (H) and k + M/2 (V)
-    clicks = np.empty((m // 2, 2, 2), dtype=complex)
+    clicks = np.empty((len(taps), 2, 2), dtype=complex)
     cr, sr = np.cos(np.pi + np.pi / m), np.sin(np.pi + np.pi / m)
     for k, tap in enumerate(taps):
         clicks[k] = np.sqrt(tap) * hv

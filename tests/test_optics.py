@@ -616,25 +616,19 @@ def test_simulate_netlist_agrees_with_direct_scheme():
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_folded_schedule_m8_values():
-    taps = build_folded_schedule(8)
-    np.testing.assert_allclose(taps, [1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], atol=1e-15)
-    # the tap is cos^2 of the direct scheme's block angle
-    angles = [triplet_angle(8, k) for k in range(4)]
-    np.testing.assert_allclose(taps, np.cos(angles) ** 2, atol=1e-15)
-    assert all(a < b for a, b in zip(taps, taps[1:]))
-
-
 FOLDED_MS = [2**n for n in range(2, 13)]
 
 
 @pytest.mark.parametrize("m", FOLDED_MS)
 def test_folded_schedule_has_a_tap_per_block_and_the_last_is_one(m):
     taps = build_folded_schedule(m)
+    if m == 8:
+        assert taps == [1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0]
     assert len(taps) == m // 2
     assert all(a < b for a, b in zip(taps, taps[1:]))
     # the exit slot is block M/2 - 1, whose angle is 0: its tap is exactly 1
     assert taps[-1] == 1.0
+    # the tap is cos^2 of the direct scheme's block angle
     angles = [triplet_angle(m, k) for k in range(m // 2)]
     assert angles[-1] == 0.0
     np.testing.assert_allclose(taps, np.cos(angles) ** 2, rtol=0, atol=1e-15)
