@@ -4,10 +4,11 @@ Matrices and vectors are numpy arrays of complex128. Composite
 ancilla-plus-qubit spaces always use ancilla-major ordering: basis index
 2*a + s for ancilla level a and qubit level s, so the qubit index varies
 fastest. rotate_rows and identity_gap write into the array they are
-given; no other public function here changes an array argument. The
-checks bound their temporaries to one block of rows of at most
-WORK_VALUES entries, so beside the M x M arrays a command must hold
-they form none of their own size.
+given; no other public function here changes an array argument.
+rotate_rows, the plane rotation of every netlist sweep, allocates only
+its two cross terms. The checks bound their temporaries to one block of
+rows of at most WORK_VALUES entries, so beside the M x M arrays a
+command must hold they form none of their own size.
 
 The export writers live here too: one float formatter, and CSV and JSON
 writers that stream a table to an open text file one block of rows at a
@@ -145,19 +146,20 @@ def rotate_rows(arr: np.ndarray, i: int, j: int, angle: float) -> None:
 
     The one plane-rotation kernel (netlist evaluation, elimination, optical
     elements); O(row length) instead of an M x M product. A 1-D vector
-    works too: its entries are the rows. Both rows are updated in place
-    from one saved copy of row i and give the bits of c ri + s rj and
-    -s ri + c rj. Each product keeps the scalar first, because numpy's
-    complex multiply can round an underflowing product to the other
-    signed zero when the operands are swapped.
+    works too: its entries are the rows. The cross terms s rj and -s ri
+    are formed before either row is written, so no copy of a row is
+    saved, and the rows give the bits of c ri + s rj and -s ri + c rj.
+    Each product keeps the scalar first, because numpy's complex multiply
+    can round an underflowing product to the other signed zero when the
+    operands are swapped.
     """
     c, s = np.cos(angle), np.sin(angle)
     ri, rj = arr[i, ...], arr[j, ...]  # views, 0-d for a 1-D arr
-    saved = ri.copy()
+    to_i, to_j = s * rj, -s * ri
     np.multiply(c, ri, out=ri)
-    ri += s * rj
+    ri += to_i
     np.multiply(c, rj, out=rj)
-    rj += -s * saved
+    rj += to_j
 
 
 def partial_trace_ancilla(p) -> np.ndarray:

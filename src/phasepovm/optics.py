@@ -6,9 +6,11 @@ a state is the list of creation-operator coefficients over those slots.
 Each element lowers to netlist elements on netlist modes mode_index + 1:
 a polarization rotation to W(H, V), a waveplate to S(V), a PPBS to
 W(H_a, H_b) then W(V_a, V_b), and a detector to nothing (a PBS is the
-PPBS at angles (0, pi/2)); compiler.apply_netlist runs the direct
-layout, and the folded layout keeps its own slot loop as the
-independent cross-check.
+PPBS at angles (0, pi/2)). Scheme.isometry runs the direct layout's
+lowered netlist on the two input modes in Python complex scalars, with
+the bits compiler.apply_netlist gives on them; apply_element runs one
+element through apply_netlist. The folded layout keeps its own slot
+loop as the independent cross-check.
 
 Two layouts realize the M-outcome measurement:
 
@@ -209,11 +211,32 @@ class Scheme:
 
         Row k holds the amplitudes at the detector of outcome k for a
         photon entering on mode 1H and on mode 1V.
+
+        The two identity columns run through the netlist as one [x, y]
+        pair of Python complex numbers per mode, which costs a few scalar
+        operations per element where an array call costs microseconds. It
+        gives the bits of apply_netlist(netlist, eye(modes, 2)): the
+        operands are those of numerics.rotate_rows and of a phase shift,
+        in the same order and both complex, so the multiply is the same
+        complex product as numpy's.
         """
-        rows = np.empty(self.M, dtype=int)
+        amps = [[0j, 0j] for _ in range(2 * self.n_paths)]
+        amps[0][0] = amps[1][1] = 1 + 0j
+        for e in self.netlist.elements:
+            if isinstance(e, GivensRotation):
+                c, s = np.cos(e.omega), np.sin(e.omega)
+                c, s, minus_s = complex(c), complex(s), complex(-s)
+                (xu, yu), (xv, yv) = amps[e.u - 1], amps[e.v - 1]
+                amps[e.u - 1] = [c * xu + s * xv, c * yu + s * yv]
+                amps[e.v - 1] = [c * xv + minus_s * xu, c * yv + minus_s * yu]
+            else:
+                shift = complex(np.exp(-1j * e.phi))
+                x, y = amps[e.u - 1]
+                amps[e.u - 1] = [x * shift, y * shift]
+        rows = [0] * self.M
         for (path, pol), k in self.detector_map.items():
             rows[k] = mode_index(path, pol)
-        return apply_netlist(self.netlist, np.eye(2 * self.n_paths, 2, dtype=complex))[rows]
+        return np.array([amps[r] for r in rows], dtype=complex)
 
 
 def build_direct_scheme(m: int) -> Scheme:

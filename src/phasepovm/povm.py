@@ -9,6 +9,9 @@ spaced phases 2*pi*k/M on the equator of the Bloch sphere,
 It is the optimal discrimination measurement for the symmetric family
 of pure states |phi_k> = (|0> + e^{i phi_k} |1>)/sqrt(2) with
 phi_k = 2*pi*k/M drawn with uniform prior 1/M.
+
+outcome_distribution and guessing_probability take the trace of each
+2x2 block as two additions, with the bits of np.trace (_real_traces).
 """
 
 from __future__ import annotations
@@ -165,6 +168,16 @@ def random_density(rng: np.random.Generator, pure: bool | None = None) -> np.nda
     return rho / np.trace(rho).real
 
 
+def _real_traces(blocks: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each 2x2 block of a stack, as two additions.
+
+    It has the bits of np.trace(blocks, axis1=-2, axis2=-1).real at a
+    fraction of a reduction's cost. The sum starts from +0.0 as np.trace's
+    does, so two -0.0 diagonal entries give +0.0.
+    """
+    return 0.0 + blocks[..., 0, 0].real + blocks[..., 1, 1].real
+
+
 def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
     """Probabilities Tr[Pi_k rho] of every outcome k on a state or (S, 2, 2) stack."""
     rho = validate_density(rho)
@@ -172,8 +185,7 @@ def outcome_distribution(povm: PhasePovm, rho) -> OutcomeDistribution:
     # trace of each 2x2 block of the result gives the bits of the per-element
     # product Pi_k @ rho, which an einsum does not
     blocks = povm.elements.reshape(2 * povm.M, 2) @ rho
-    blocks = blocks.reshape(*rho.shape[:-2], povm.M, 2, 2)
-    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    p = _real_traces(blocks.reshape(*rho.shape[:-2], povm.M, 2, 2))
     return OutcomeDistribution(probabilities=p)
 
 
@@ -214,6 +226,6 @@ def guessing_probability(m: int) -> float:
     """
     m = validate_outcome_count(m)
     states = pure_phase_state(TWO_PI * np.arange(m) / m)
-    p = np.trace(phase_povm(m).elements @ states, axis1=1, axis2=2).real
+    p = _real_traces(phase_povm(m).elements @ states)
     # cumsum adds left to right; np.sum's pairwise order moves the last digit
     return float(np.cumsum(p)[-1]) / m

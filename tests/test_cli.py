@@ -443,11 +443,18 @@ def test_sweep_memory_does_not_grow_with_steps(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _traced_peak(m, *argv):
-    """Traced peak of one successful command, in M x M complex arrays (16 M^2 bytes)."""
+def _traced_peak(tmp_path, command, m, *flags):
+    """Traced peak of one successful command, in M x M complex arrays (16 M^2 bytes).
+
+    The first command of a kind in a process imports modules lazily, about
+    0.7 MiB under importlib, hashlib and base64. So the same command runs
+    once untraced at M = 8, with its own output, so the peak counts the
+    run at M alone, whatever ran before it in the process.
+    """
+    assert run(command, "--M", "8", *flags, "--out", str(tmp_path / "warm.json")) == 0
     tracemalloc.start()
     try:
-        assert run(*argv) == 0
+        assert run(command, "--M", str(m), *flags, "--out", str(tmp_path / "out.json")) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -459,23 +466,21 @@ def test_verify_holds_at_most_two_and_a_quarter_m_by_m_arrays(m, tmp_path, capsy
     # the recursion's G, real part and Cholesky factor are freed before the
     # closed Z is built, and the recursive Z before the Gram work: the peak
     # is two Z, the closed one beside the recursive one or beside its copy
-    assert _traced_peak(m, "verify", "--M", str(m), "--out", str(tmp_path / "v.json")) <= 2.25
+    assert _traced_peak(tmp_path, "verify", m) <= 2.25
     capsys.readouterr()
 
 
 def test_extend_holds_at_most_two_and_a_quarter_m_by_m_arrays(tmp_path, capsys):
     # each file is written while its Z is the only one, so from M = 1024 the
     # peak is the two Z that closed_vs_recursive compares
-    m = 1024
-    assert _traced_peak(m, "extend", "--M", str(m), "--out", str(tmp_path / "e.json")) <= 2.25
+    assert _traced_peak(tmp_path, "extend", 1024) <= 2.25
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("m", [512, 1024])
 def test_compile_verify_holds_at_most_one_and_a_half_m_by_m_arrays(m, tmp_path, capsys):
     # the netlist is applied to the one closed Z, built writable: no copy of it
-    argv = ("compile", "--M", str(m), "--verify", "--out", str(tmp_path / "n.json"))
-    assert _traced_peak(m, *argv) <= 1.5
+    assert _traced_peak(tmp_path, "compile", m, "--verify") <= 1.5
     capsys.readouterr()
 
 

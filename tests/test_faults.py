@@ -138,6 +138,13 @@ def leaking_exit_tap():
     return [(optics, "build_folded_schedule", lambda m: [*schedule(m)[:-1], 1.0 - 1e-6])]
 
 
+def negated_kernel_angle():
+    # both netlist sweeps run on the kernel; the direct V runs on its own
+    # scalars and the folded V on its own loop, so neither optical check moves
+    rotate = compiler.rotate_rows
+    return [(compiler, "rotate_rows", lambda arr, i, j, angle: rotate(arr, i, j, -angle))]
+
+
 # (fault, patches, checks expected to FAIL, structural match expected)
 FAULTS = [
     (
@@ -187,6 +194,12 @@ FAULTS = [
     ),
     ("folded_v_rows_swapped", swapped_folded_rows, {"folded_vs_direct"}, True),
     ("exit_slot_tap_leaks", leaking_exit_tap, {"folded_vs_direct"}, True),
+    (
+        "rotation_kernel_angle_negated",
+        negated_kernel_angle,
+        {"netlist_round_trip", "elimination_round_trip"},
+        False,
+    ),
 ]
 
 

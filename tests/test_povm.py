@@ -1,14 +1,19 @@
 """Tests for the M-outcome phase POVM layer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import phasepovm.povm as povm_module
 from phasepovm.povm import (
     DENSITY_TOL,
     TWO_PI,
     OutcomeDistribution,
+    PhasePovm,
     analytic_phase_distribution,
     click_probabilities,
     guessing_probability,
@@ -362,6 +367,44 @@ def test_guessing_probability_keeps_the_bits_of_its_own_state_formula(m):
     states = v[:, :, None] * v.conj()[:, None, :]
     p = np.trace(phase_povm(m).elements @ states, axis1=1, axis2=2).real
     assert guessing_probability(m).hex() == (float(np.cumsum(p)[-1]) / m).hex()
+
+
+# signed zeros, infinities and NaN beside ordinary values, for each part of an entry
+TRACE_PARTS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5, 1e-300, 1e308])
+# states whose entries hold +0.0 and -0.0 parts, one at a time or stacked
+TRACE_STATES = [np.eye(2) / 2.0, np.diag([1.0, 0.0]), pure_phase_state(np.pi), pure_phase_state(1.1)]
+
+
+@st.composite
+def special_povms(draw):
+    """A PhasePovm whose elements draw both parts of each entry from TRACE_PARTS."""
+    shape = (draw(st.sampled_from([2, 4, 8])), 2, 2)
+    elements = np.empty(shape, dtype=complex)
+    elements.real = draw(arrays(np.float64, shape, elements=TRACE_PARTS))
+    elements.imag = draw(arrays(np.float64, shape, elements=TRACE_PARTS))
+    return PhasePovm(elements=elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    povm=special_povms(),
+    picks=st.lists(st.sampled_from(range(len(TRACE_STATES))), min_size=1, max_size=3),
+)
+def test_traces_of_special_blocks_equal_np_trace_bit_for_bit(povm, picks):
+    # outcome_distribution and guessing_probability sum each 2x2 diagonal
+    # by hand; np.trace is the reference, the -0.0 + -0.0 = +0.0 case included
+    m = povm.M
+    rho = np.array([TRACE_STATES[i] for i in picks], dtype=complex)
+    rho = rho[0] if len(picks) == 1 else rho
+    states = pure_phase_state(TWO_PI * np.arange(m) / m)
+    with np.errstate(all="ignore"):
+        blocks = (povm.elements.reshape(2 * m, 2) @ rho).reshape(*rho.shape[:-2], m, 2, 2)
+        expected = np.trace(blocks, axis1=-2, axis2=-1).real
+        assert _same_bits(outcome_distribution(povm, rho).probabilities, expected)
+        p = np.trace(povm.elements @ states, axis1=1, axis2=2).real
+        with mock.patch.object(povm_module, "phase_povm", lambda _: povm):
+            got = guessing_probability(m)
+        assert _same_bits(np.float64(got), np.float64(float(np.cumsum(p)[-1]) / m))
 
 
 @pytest.mark.parametrize("bad", [2.7, -0.5, "3", np.float64(1.0), True])
