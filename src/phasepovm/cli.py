@@ -308,10 +308,31 @@ def _closed_vs_recursive(m: int, recursive):
 
     Callers build the recursion first, so its G, real part and Cholesky
     factor are freed before the closed Z exists, and drop it before the
-    Gram work: no more than two Z are ever alive.
+    elimination's copy: no more than two Z are ever alive.
     """
     closed = build_extension_closed(m)
     return closed, {"closed_vs_recursive": max_gap(closed.Z, recursive.Z)}
+
+
+def _naimark_checks(closed, seed: int):
+    """(checks, elimination netlist, elimination_round_trip) of the closed extension.
+
+    The five Naimark checks, in verify's order. One eliminate sweep gives
+    the certified bound on Z†Z - I and ZZ† - I, reported as orthogonality,
+    and as unitarity together with the measured norms; verify_naimark
+    measures the rest.
+    """
+    elim, residual, bound = eliminate(closed)
+    measured = verify_naimark(closed, seed=seed)
+    checks = {
+        "orthogonality": bound,
+        "norms": measured["norms"],
+        "povm_blocks": measured["povm_blocks"],
+        # np.maximum, not max: a NaN on either side must survive
+        "unitarity": float(np.maximum(bound, measured["norms"])),
+        "probability_constraint": measured["probability_constraint"],
+    }
+    return checks, elim, residual
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
@@ -325,7 +346,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         write(recursive, fh)
     closed, checks = _closed_vs_recursive(args.M, recursive)
     del recursive
-    checks.update(verify_naimark(closed, seed=args.seed))
+    checks.update(_naimark_checks(closed, args.seed)[0])
     with _output(str(path_closed)) as fh:
         write(closed, fh)
 
@@ -434,13 +455,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     recursive = build_extension_recursive(args.M)
     closed, checks = _closed_vs_recursive(args.M, recursive)
     del recursive  # closed_vs_recursive is its only use
-    checks.update(verify_naimark(closed, seed=args.seed))
+    extension, elim, elimination_gap = _naimark_checks(closed, args.seed)
+    checks.update(extension)
 
     net = decompose_closed(args.M)
     checks["netlist_round_trip"] = _round_trip_gap(net, closed.Z.copy())
-    # for a unitary Z, E - N = (EZ - NZ)Z†: the two round trips bound the matrix gap
-    elim, checks["elimination_round_trip"] = eliminate(closed)
     del closed  # its last use: no M x M array outlives this point
+    # for a unitary Z, E - N = (EZ - NZ)Z†: the two round trips bound the matrix gap
+    checks["elimination_round_trip"] = elimination_gap
     structural = netlists_equal(net, elim, tol=args.tolerance)
 
     checks.update(_simulations(args.M, random_states(args.seed), args.M > 2)[0])

@@ -6,9 +6,11 @@ ancilla-plus-qubit spaces always use ancilla-major ordering: basis index
 fastest. rotate_rows and identity_gap write into the array they are
 given; no other public function here changes an array argument.
 rotate_rows, the plane rotation of every netlist sweep, allocates only
-its two cross terms. The checks bound their temporaries to one block of
-rows of at most WORK_VALUES entries, so beside the M x M arrays a
-command must hold they form none of their own size.
+its two cross terms. No function here forms a matrix product: the
+checks are O(M^2) passes (max_gap, identity_gap, squared_column_norms)
+that bound their temporaries to one block of rows of at most
+WORK_VALUES entries, so beside the M x M arrays a command must hold
+they form none of their own size.
 
 The export writers live here too: one float formatter, and CSV and JSON
 writers that stream a table to an open text file one block of rows at a
@@ -48,79 +50,20 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def _minus_identity(p: np.ndarray) -> np.ndarray:
-    """Subtract the identity from a square array in place; return its diagonal view."""
-    diag = np.einsum("ii->i", p)
-    diag -= 1.0
-    return diag
+def squared_column_norms(a: np.ndarray) -> np.ndarray:
+    """The sum over rows of |a_ij|^2 for every column j of a 2-D complex array.
 
-
-def gram_residuals(a) -> dict[str, float]:
-    """Max-abs residuals of A†A = I and AA† = I for a square matrix.
-
-    orthogonality : largest |A_k† A_l| over columns k != l
-    norms         : largest | ||A_k||^2 - 1 |
-    unitarity     : max-abs entry of A†A - I and AA† - I
-
-    Write A = P + iQ with P, Q real, and let R be the rows where Q is
-    nonzero; an extension Z is real below its top two rows. Then
-
-        A†A = [P; Q_R]ᵀ[P; Q_R] + i [P_R; Q_R]ᵀ[Q_R; -P_R],
-        AA† = PPᵀ + Q_R Q_Rᵀ on R x R + i (S - Sᵀ), S = Q_R Pᵀ on rows R,
-
-    so only PᵀP and PPᵀ are M^3 products, and both are real; a matrix
-    with an imaginary part in every row takes the same formula. R is
-    found by an exact test, and NaN != 0, so a NaN imaginary part marks
-    its own row. A NaN entry of A gives a NaN residual, which then fails
-    any ``<= tol`` test. Raises ValueError for non-square input rather
-    than returning a residual, since that is a usage bug and not a
-    numerical answer.
+    Each block of rows adds np.add.reduce(re^2 + im^2) down its columns, so
+    the bits do not depend on the BLAS or its thread count, and the
+    temporaries stay one block of WORK_VALUES entries. A square above the
+    float64 range is inf without a RuntimeWarning; a NaN entry gives NaN.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"gram_residuals needs a square matrix, got shape {a.shape}")
-    m = len(a)
-    rows = np.flatnonzero((a.imag != 0).any(axis=1))
-    stack = np.concatenate([a.real, a.imag[rows]])  # [P; Q_R], one contiguous copy
-    p, q = stack[:m], stack[m:]
-
-    gram = stack.T @ stack
-    diag = _minus_identity(gram)
-    norms = np.max(np.abs(diag))
-    diag -= diag  # now the off-diagonal part alone
-    # the skew product folds into gram one block of rows at a time, as
-    # squared moduli in place: no second M x M array and no complex one (a
-    # modulus below 1e-154 squares to 0 and one above 1e154 to inf)
-    left, right = np.concatenate([p[rows], q]), np.concatenate([q, -p[rows]])
-    for r in row_slices(m, m, WORK_VALUES):
-        skew = left[:, r].T @ right
-        diag = np.einsum("ii->i", skew[:, r])
-        diag -= diag  # zero in exact arithmetic; the product leaves rounding there
-        skew *= skew
-        block = gram[r]
-        block *= block
-        block += skew
-    orthogonality = np.sqrt(np.max(gram))
-    del gram, block  # block is a view of gram
-
-    outer = p @ p.T
-    outer[np.ix_(rows, rows)] += q @ q.T
-    _minus_identity(outer)
-    band = q @ p.T  # rows R of S; on columns R, S - Sᵀ also subtracts Sᵀ
-    band[:, rows] -= band[:, rows].T
-    outer *= outer
-    band *= band
-    # AA† is Hermitian, so rows R hold every modulus its imaginary part adds
-    outer[rows] += band
-    right = np.max(outer)
-    # the diagonal of A†A - I is real, so its modulus is norms' entry;
-    # np.maximum keeps a NaN residual, where Python's max would drop it
-    unitarity = np.maximum(np.maximum(norms, orthogonality), np.sqrt(right))
-    return {
-        "orthogonality": float(orthogonality),
-        "norms": float(norms),
-        "unitarity": float(unitarity),
-    }
+    total = np.zeros(a.shape[1])
+    with np.errstate(over="ignore"):
+        for r in row_slices(len(a), a.shape[1], WORK_VALUES):
+            block = a[r]
+            total += np.add.reduce(np.square(block.real) + np.square(block.imag), axis=0)
+    return total
 
 
 def max_gap(a, b) -> float:
@@ -137,7 +80,8 @@ def identity_gap(a: np.ndarray) -> float:
     so no second M x M array is formed; np.max keeps a NaN, which fails
     ``<= tol``.
     """
-    _minus_identity(a)
+    diag = np.einsum("ii->i", a)  # a writable view of the diagonal
+    diag -= 1.0
     return max_gap(a, 0)
 
 

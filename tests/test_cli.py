@@ -154,7 +154,7 @@ def test_every_residual_line_names_a_verify_check(tmp_path, capsys):
     for args, expected in (
         (
             ("extend", "--M", "8", "--seed", "3", "--out", str(tmp_path / "e.json")),
-            names[:6],  # closed_vs_recursive, then verify_naimark's five
+            names[:6],  # closed_vs_recursive, then the five Naimark checks
         ),
         (("compile", "--M", "8", "--verify"), ["netlist_round_trip"]),
         (
@@ -464,15 +464,16 @@ def _traced_peak(tmp_path, command, m, *flags):
 @pytest.mark.parametrize("m", [512, 1024])
 def test_verify_holds_at_most_two_and_a_quarter_m_by_m_arrays(m, tmp_path, capsys):
     # the recursion's G, real part and Cholesky factor are freed before the
-    # closed Z is built, and the recursive Z before the Gram work: the peak
-    # is two Z, the closed one beside the recursive one or beside its copy
+    # closed Z is built, and the recursive Z before the elimination sweep: the
+    # peak is two Z, the closed one beside the recursive one or beside a copy
     assert _traced_peak(tmp_path, "verify", m) <= 2.25
     capsys.readouterr()
 
 
 def test_extend_holds_at_most_two_and_a_quarter_m_by_m_arrays(tmp_path, capsys):
     # each file is written while its Z is the only one, so from M = 1024 the
-    # peak is the two Z that closed_vs_recursive compares
+    # peak is two Z: the pair closed_vs_recursive compares, or the closed Z
+    # beside the elimination's copy
     assert _traced_peak(tmp_path, "extend", 1024) <= 2.25
     capsys.readouterr()
 

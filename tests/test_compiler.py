@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -176,8 +177,9 @@ def _real_top_rows(m):
 )
 def test_elimination_residual_equals_its_netlist_round_trip_bit_for_bit(build, m):
     z = build(m)
-    net, residual = eliminate(z)
+    net, residual, bound = eliminate(z)
     assert net == decompose_by_elimination(z)
+    assert 2 * residual <= bound <= 1e-12
     assert (net.elements[:2] == BOOTSTRAP) == (build is not _real_top_rows)
     # the same arithmetic on every column: the sweep is the netlist's round trip
     expected = identity_gap(apply_netlist(net, np.array(getattr(z, "Z", z))))
@@ -191,14 +193,36 @@ def test_elimination_accepts_raw_arrays_and_handles_identity():
 
 
 def test_eliminate_reports_its_residual_and_judges_nothing():
-    # 2I emits no rotation and misses the identity by 1 on the diagonal
-    assert eliminate(2.0 * np.eye(4))[1] == 1.0
+    # 2I emits no rotation and misses the identity by 1 on the diagonal:
+    # ||F||_F = 2, so the bound is 2 * 2 + 2^2 plus rounding
+    net, residual, bound = eliminate(2.0 * np.eye(4))
+    assert net.elements == () and residual == 1.0
+    assert 8.0 < bound < 8.0 + 1e-13
     z = np.eye(4, dtype=complex)
     z[2, 1] = np.nan
-    assert np.isnan(eliminate(z)[1])
+    assert all(np.isnan(eliminate(z)[1:]))
     for shape in ((3, 5), (3, 3)):
         with pytest.raises(ValueError):
             eliminate(np.eye(*shape))
+
+
+def test_a_sweep_beyond_the_float64_range_gives_an_infinite_bound_without_a_warning():
+    # the rotations stay finite; only the squares of F's 1e200 entries overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        net, residual, bound = eliminate(1e200 * build_extension_closed(8).Z)
+    assert len(net.elements) == len(decompose_closed(8).elements)
+    assert np.isfinite(residual) and residual > 1e199
+    assert bound == np.inf
+
+
+def test_elimination_refuses_a_unitary_outside_its_schedule():
+    # swapped columns stay unitary, but the sweep cannot certify them
+    z = build_extension_closed(8).Z[:, [0, 1, 3, 2, 4, 5, 6, 7]]
+    assert np.max(np.abs(z.conj().T @ z - np.eye(8))) <= 1e-15
+    assert eliminate(z)[2] > 1.0
+    with pytest.raises(ValueError, match="not unitary within"):
+        decompose_by_elimination(z)
 
 
 def test_elimination_rejects_non_unitary_input():

@@ -145,6 +145,25 @@ def negated_kernel_angle():
     return [(compiler, "rotate_rows", lambda arr, i, j, angle: rotate(arr, i, j, -angle))]
 
 
+def non_unitary_kernel(cos_scale=1.0, sign_j=-1.0):
+    """The netlist sweeps' kernel as [[c, s], [sign_j s, c]], with c = cos * cos_scale.
+
+    The elimination's unitarity bound holds only for a unitary kernel, so
+    each such kernel must fail a check.
+    """
+
+    def rotate(arr, i, j, angle):
+        c, s = np.cos(angle) * cos_scale, np.sin(angle)
+        ri, rj = arr[i, ...], arr[j, ...]
+        to_i, to_j = s * rj, sign_j * s * ri
+        np.multiply(c, ri, out=ri)
+        ri += to_i
+        np.multiply(c, rj, out=rj)
+        rj += to_j
+
+    return [(compiler, "rotate_rows", rotate)]
+
+
 # (fault, patches, checks expected to FAIL, structural match expected)
 FAULTS = [
     (
@@ -157,7 +176,14 @@ FAULTS = [
     (
         "column_order_swapped",
         swapped_column_order,
-        {"closed_vs_recursive", "netlist_round_trip", "elimination_round_trip"},
+        # Z stays unitary, but outside the elimination schedule: no certificate
+        {
+            "closed_vs_recursive",
+            "orthogonality",
+            "unitarity",
+            "netlist_round_trip",
+            "elimination_round_trip",
+        },
         False,
     ),
     ("recursive_z_nan", nan_in_recursive_z, {"closed_vs_recursive"}, True),
@@ -197,7 +223,19 @@ FAULTS = [
     (
         "rotation_kernel_angle_negated",
         negated_kernel_angle,
-        {"netlist_round_trip", "elimination_round_trip"},
+        {"orthogonality", "unitarity", "netlist_round_trip", "elimination_round_trip"},
+        False,
+    ),
+    (
+        "rotation_kernel_cos_scaled",
+        lambda: non_unitary_kernel(cos_scale=1 + 1e-6),
+        {"orthogonality", "unitarity", "netlist_round_trip", "elimination_round_trip"},
+        False,
+    ),
+    (
+        "rotation_kernel_not_orthogonal",
+        lambda: non_unitary_kernel(sign_j=1.0),
+        {"orthogonality", "unitarity", "netlist_round_trip", "elimination_round_trip"},
         False,
     ),
 ]

@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phasepovm.naimark as naimark
-from phasepovm.cli import main
+from phasepovm.cli import _naimark_checks, main
 from phasepovm.naimark import (
     NUM_STATES,
     SKIP_TOL,
@@ -22,7 +24,7 @@ from phasepovm.naimark import (
     write_extension_csv,
     write_extension_json,
 )
-from phasepovm.numerics import gram_residuals, partial_trace_ancilla
+from phasepovm.numerics import partial_trace_ancilla
 from phasepovm.povm import povm_element, psi_k, random_density
 
 SEED = 20240811
@@ -288,24 +290,68 @@ def test_recursive_extension_is_real_below_the_top_rows(m):
     assert np.all(z[2:].imag == 0.0)
 
 
+def dense_unitarity(z):
+    """max(|Z†Z - I|, |ZZ† - I|) from the two dense products; np.maximum keeps a NaN."""
+    eye = np.eye(len(z))
+    return np.maximum(np.max(np.abs(z.conj().T @ z - eye)), np.max(np.abs(z @ z.conj().T - eye)))
+
+
 @pytest.mark.parametrize("build", [build_extension_closed, build_extension_recursive])
 @pytest.mark.parametrize("m", [2, 8, 64])
-def test_gram_residuals_equal_a_fresh_computation(build, m):
+def test_naimark_checks_against_the_dense_products(build, m):
     ext = build(m)
-    z, eye = ext.Z, np.eye(m)
+    z = ext.Z
     gram = z.conj().T @ z
-    residuals = gram_residuals(z)
-    # the dense complex products round differently from the real ones
-    dense = {
-        "orthogonality": np.max(np.abs(gram - np.diag(np.diag(gram)))),
-        "norms": np.max(np.abs(np.diag(gram).real - 1.0)),
-        "unitarity": max(np.max(np.abs(gram - eye)), np.max(np.abs(z @ z.conj().T - eye))),
-    }
-    for name, value in dense.items():
-        np.testing.assert_allclose(residuals[name], value, rtol=0, atol=1e-13, err_msg=name)
-    report = verify_naimark(ext, seed=SEED)
-    for name in ("orthogonality", "norms", "unitarity"):
-        assert report[name] == residuals[name]
+    checks = _naimark_checks(ext, SEED)[0]
+    # the column sums round differently from the dense product's diagonal
+    norms = np.max(np.abs(np.diag(gram).real - 1.0))
+    np.testing.assert_allclose(checks["norms"], norms, rtol=0, atol=1e-13)
+    assert checks["norms"] == verify_naimark(ext, seed=SEED)["norms"]
+    off_diagonal = np.max(np.abs(gram - np.diag(np.diag(gram))))
+    assert off_diagonal <= checks["orthogonality"] <= 1e-12
+    assert dense_unitarity(z) <= checks["unitarity"] == checks["orthogonality"]
+
+
+@st.composite
+def perturbed_closed_z(draw):
+    """The closed Z at M = 2 ... 64 with one change.
+
+    One entry scaled, shifted, NaN or infinite, or one column scaled.
+    """
+    m = 2 ** draw(st.integers(1, 6))
+    z = build_extension_closed(m).Z.copy()
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    size = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(["entry_scaled", "entry_shifted", "column_scaled", "special"]))
+    if kind == "entry_scaled":
+        z[i, j] *= 1.0 + draw(size)
+    elif kind == "entry_shifted":
+        z[i, j] += complex(draw(size), draw(size))
+    elif kind == "column_scaled":
+        z[:, j] *= 1.0 + draw(size)
+    else:
+        z[i, j] = draw(st.sampled_from([np.nan, complex(0.0, np.nan), np.inf, -np.inf]))
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=perturbed_closed_z())
+@example(z=build_extension_closed(16).Z.copy())
+def test_the_certified_unitarity_is_never_below_the_dense_residual(z):
+    ext = dataclasses.replace(build_extension_closed(len(z)), Z=z)
+    # an infinite entry meets a zero in the sweep's rotations and the products
+    with np.errstate(invalid="ignore"):
+        checks, _, residual = _naimark_checks(ext, SEED)
+        dense = dense_unitarity(z)
+    reported = checks["unitarity"]
+    if np.isnan(z).any():  # NaN in, NaN out
+        assert np.isnan(reported) and np.isnan(checks["orthogonality"])
+    elif np.isfinite(z).all():
+        assert reported >= dense
+    else:  # an infinite entry: NaN or inf, which fails at any tolerance
+        assert not reported <= 1e300
+    # the bound is at least twice the sweep's own identity miss
+    assert not checks["orthogonality"] < 2 * residual
 
 
 def test_extension_matrix_is_read_only_and_not_copied():
@@ -371,14 +417,8 @@ def _passes(report, tol=1e-10):
 def test_verify_naimark_reports_tiny_residuals_for_good_extensions():
     for m in (2, 8, 32):
         report = verify_naimark(build_extension_closed(m), seed=SEED)
-        # the names and order that verify writes under "checks"
-        assert list(report) == [
-            "orthogonality",
-            "norms",
-            "povm_blocks",
-            "unitarity",
-            "probability_constraint",
-        ]
+        # in the order that verify writes them under "checks"
+        assert list(report) == ["norms", "povm_blocks", "probability_constraint"]
         assert all(type(value) is float for value in report.values())
         assert _passes(report)
 
@@ -401,7 +441,7 @@ def test_verify_naimark_fails_on_a_nan_entry(row):
     z[row, 3] = np.nan
     report = verify_naimark(dataclasses.replace(ext, Z=z), seed=SEED)
     assert not _passes(report)
-    assert np.isnan(report["unitarity"])
+    assert np.isnan(report["norms"])
     if row < 2:
         assert np.isnan(report["povm_blocks"])
         assert np.isnan(report["probability_constraint"])
