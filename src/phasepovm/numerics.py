@@ -53,16 +53,20 @@ def _as_matrix(a) -> np.ndarray:
 def squared_column_norms(a: np.ndarray) -> np.ndarray:
     """The sum over rows of |a_ij|^2 for every column j of a 2-D complex array.
 
-    Each block of rows adds np.add.reduce(re^2 + im^2) down its columns, so
-    the bits do not depend on the BLAS or its thread count, and the
-    temporaries stay one block of WORK_VALUES entries. A square above the
-    float64 range is inf without a RuntimeWarning; a NaN entry gives NaN.
+    Each block of rows takes np.add.reduce(re^2 + im^2) down its columns,
+    with the sum so far added into its first row, so the rows are added in
+    order as by one np.add.reduce over the whole array: the bits depend
+    neither on the BLAS nor on the block size, and the temporaries stay one
+    block of WORK_VALUES entries. A square above the float64 range is inf
+    without a RuntimeWarning; a NaN entry gives NaN.
     """
     total = np.zeros(a.shape[1])
     with np.errstate(over="ignore"):
         for r in row_slices(len(a), a.shape[1], WORK_VALUES):
             block = a[r]
-            total += np.add.reduce(np.square(block.real) + np.square(block.imag), axis=0)
+            squares = np.square(block.real) + np.square(block.imag)
+            squares[0] += total
+            np.add.reduce(squares, axis=0, out=total)
     return total
 
 

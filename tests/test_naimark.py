@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import phasepovm.naimark as naimark
 from phasepovm.cli import _naimark_checks, main
+from phasepovm.compiler import eliminate
 from phasepovm.naimark import (
     NUM_STATES,
     SKIP_TOL,
@@ -298,15 +299,24 @@ def dense_unitarity(z):
 
 @pytest.mark.parametrize("build", [build_extension_closed, build_extension_recursive])
 @pytest.mark.parametrize("m", [2, 8, 64])
-def test_naimark_checks_against_the_dense_products(build, m):
+def test_gram_residuals_equal_a_fresh_computation(build, m):
     ext = build(m)
-    z = ext.Z
-    gram = z.conj().T @ z
+    gram = ext.Z.conj().T @ ext.Z
     checks = _naimark_checks(ext, SEED)[0]
     # the column sums round differently from the dense product's diagonal
     norms = np.max(np.abs(np.diag(gram).real - 1.0))
     np.testing.assert_allclose(checks["norms"], norms, rtol=0, atol=1e-13)
     assert checks["norms"] == verify_naimark(ext, seed=SEED)["norms"]
+    assert checks["orthogonality"] == eliminate(ext)[2]
+
+
+@pytest.mark.parametrize("build", [build_extension_closed, build_extension_recursive])
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_naimark_checks_against_the_dense_products(build, m):
+    ext = build(m)
+    z = ext.Z
+    gram = z.conj().T @ z
+    checks = _naimark_checks(ext, SEED)[0]
     off_diagonal = np.max(np.abs(gram - np.diag(np.diag(gram))))
     assert off_diagonal <= checks["orthogonality"] <= 1e-12
     assert dense_unitarity(z) <= checks["unitarity"] == checks["orthogonality"]

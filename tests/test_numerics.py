@@ -10,6 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from phasepovm.compiler import (
+    BOOTSTRAP,
+    GivensRotation,
+    Netlist,
+    apply_netlist,
+    eliminate,
+    evaluate_netlist,
+)
 from phasepovm.numerics import (
     BLOCK_VALUES,
     WORK_VALUES,
@@ -119,6 +127,139 @@ def test_squared_column_norms_over_three_blocks(special):
         got = squared_column_norms(a)
     np.testing.assert_allclose(got, expected, rtol=1e-14)
     assert np.isnan(got[7]) == (special is not None and np.isnan(special))
+
+
+def _random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_schedule_unitary(rng, m):
+    """Z = E† for E the elimination schedule's rotations at random angles.
+
+    Half the draws start E with the bootstrap pair, which leaves Z's top
+    two rows complex.
+    """
+    elements = list(BOOTSTRAP) if rng.random() < 0.5 else []
+    for k in range(m // 2 - 1):
+        a, b, c = rng.uniform(-np.pi, np.pi, size=3)
+        elements += [
+            GivensRotation(2 * k + 1, 2 * k + 3, a),
+            GivensRotation(2 * k + 2, 2 * k + 4, b),
+            GivensRotation(2 * k + 3, 2 * k + 4, c),
+        ]
+    return evaluate_netlist(Netlist(M=m, elements=tuple(elements))).conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_unitarity_residual_accepts_random_unitaries(n):
+    """The sweep certifies every unitary of its schedule, at M = 2n."""
+    rng = np.random.default_rng(SEED + n)
+    for _ in range(20):
+        assert eliminate(_random_schedule_unitary(rng, 2 * n))[2] <= 1e-10
+
+
+def test_unitarity_residual_rejects_scaled_and_singular():
+    assert not eliminate(2.0 * np.eye(4))[2] <= 1e-10
+    assert not eliminate(np.zeros((2, 2)))[2] <= 1e-10
+    with pytest.raises(ValueError, match="square"):
+        eliminate(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        eliminate(np.ones((3, 2)))
+
+
+@st.composite
+def square_matrices(draw):
+    """A complex n x n matrix, n even: unitary, a scaled unitary or Gaussian, maybe with one NaN.
+
+    Only the rows of a drawn subset (none, some or all) have an imaginary
+    part, as only the top two rows of an extension do; the unitary kinds
+    are a real orthogonal matrix with those rows multiplied by phases, or
+    a generic complex unitary for all rows. The NaN lands in a real or a
+    complex row, in either part of its entry.
+    """
+    # even n >= 2, as the sweep takes
+    n = 2 * draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subset = draw(st.sampled_from(["none", "some", "all"]))
+    complex_rows = {"none": [], "all": list(range(n))}.get(subset) or sorted(
+        draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    )
+    kind = draw(st.sampled_from(["unitary", "scaled", "gaussian"]))
+    if kind == "gaussian":
+        a = rng.normal(size=(n, n)) + 0j
+        a.imag[complex_rows] = rng.normal(size=(len(complex_rows), n))
+    elif subset == "all":
+        a = _random_unitary(rng, n)
+    else:
+        a = np.linalg.qr(rng.normal(size=(n, n)))[0] + 0j
+        a[complex_rows] *= np.exp(1j * rng.uniform(0.1, 3.0, size=(len(complex_rows), 1)))
+    if kind == "scaled":
+        a *= draw(st.floats(0.25, 2.0))
+    if draw(st.booleans()):
+        nan = draw(st.sampled_from([complex(np.nan, 0.0), complex(0.5, np.nan)]))
+        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = nan
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=square_matrices())
+# a NaN in a real row, in the real and in the imaginary part of a complex row
+@example(a=np.array([[np.nan, 0.0], [0.0, 1j]]))
+@example(a=np.array([[1.0, 0.0], [np.nan, 1j]]))
+@example(a=np.array([[1.0, 0.0], [0.0, complex(0.0, np.nan)]]))
+def test_gram_residuals_equal_the_dense_products(a):
+    """norms is the dense diagonal's; the sweep's bound is above every dense residual."""
+    eye = np.eye(len(a))
+    gram, outer = a.conj().T @ a, a @ a.conj().T
+    has_nan = bool(np.isnan(a).any())
+    norms = max_gap(squared_column_norms(a), 1.0)
+    np.testing.assert_allclose(norms, np.max(np.abs(np.diag(gram).real - 1.0)), rtol=0, atol=1e-13)
+    # a NaN entry meets zeros in the sweep's rotations
+    with np.errstate(invalid="ignore"):
+        bound = eliminate(a)[2]
+    assert np.isnan(bound) == has_nan
+    if not has_nan:
+        off_diagonal = np.max(np.abs(gram[~np.eye(len(a), dtype=bool)]))
+        dense = max(np.max(np.abs(gram - eye)), np.max(np.abs(outer - eye)))
+        assert off_diagonal <= bound and dense <= bound
+
+
+def last_block_unitary(change, complex_rows):
+    """A 200 x 200 unitary, complex in ``complex_rows``, changed in its last column.
+
+    Its rows fall in three working blocks, and the changed entries in the
+    last: "tilt" leans column 199 towards 198; any other change is the
+    new value of the corner entry.
+    """
+    rng = np.random.default_rng(SEED)
+    a = np.linalg.qr(rng.normal(size=(200, 200)))[0] + 0j
+    a[complex_rows] *= np.exp(1j * rng.uniform(0.1, 3.0, size=(len(a[complex_rows]), 1)))
+    if change == "tilt":
+        a[:, 199] += 0.01 * a[:, 198]
+    else:
+        a[199, 199] = change
+    return a
+
+
+@pytest.mark.parametrize("complex_rows", [[], [0, 1], slice(None)])
+@pytest.mark.parametrize("change", ["tilt", np.nan, complex(0.5, np.nan), np.inf])
+def test_gram_residuals_over_three_blocks_equal_the_one_shot_bits(change, complex_rows):
+    """norms and the sweep's identity miss, each taken a block at a time, have the whole-array bits."""
+    a = last_block_unitary(change, complex_rows)
+    assert len(row_slices(len(a), len(a), WORK_VALUES)) == 3
+    column_sums = np.add.reduce(np.square(a.real) + np.square(a.imag), axis=0)
+    got = squared_column_norms(a)
+    assert np.array_equal(got.view(np.int64), column_sums.view(np.int64))
+    norms = np.max(np.abs(column_sums - 1.0))
+    assert np.float64(max_gap(got, 1.0)).view(np.int64) == norms.view(np.int64)
+    # an infinite entry meets zeros in the sweep's rotations
+    with np.errstate(invalid="ignore"):
+        net, residual, _ = eliminate(a)
+        swept = apply_netlist(net, a.copy())
+    swept -= np.eye(len(a))
+    assert np.float64(residual).view(np.int64) == np.max(np.abs(swept)).view(np.int64)
 
 
 # entry parts of the gap tests: any float64, mixed with 0.0, -0.0, 1.0 and NaN
