@@ -49,7 +49,6 @@ from .naimark import (
     _closed_form_columns,
     build_extension_closed,
     build_extension_recursive,
-    column_order,
     random_states,
     verify_naimark,
     write_extension_csv,
@@ -372,7 +371,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         # the check covers the written bytes, parsed back, not the object
         written = netlist_from_json_dict(json.loads(text))
         # a writable closed Z, built as the only M x M array
-        z = _closed_form_columns(args.M, column_order(args.M))
+        z = _closed_form_columns(args.M)
         checks = {"netlist_round_trip": _round_trip_gap(written, z)}
         if not _judge(checks, DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance):
             return EXIT_VERIFICATION
@@ -415,8 +414,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     guess = guessing_probability(args.M)
-    # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi); each block
-    # builds only its own grid points, so memory does not grow with --steps
+    # one row per phase: phi, then P(0 | phi) .. P(M-1 | phi); each block and its
+    # slice are made only when written, so memory does not grow with --steps
     blocks = (
         np.column_stack((phis, analytic_phase_distribution(args.M, phis).probabilities))
         for rows in row_slices(args.steps, args.M + 1, BLOCK_VALUES)

@@ -103,21 +103,28 @@ def triplet_angle(m: int, k: int) -> float:
     return float(np.arctan(np.sqrt((m - 2 - 2 * k) / 2.0)))
 
 
+def _block_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """Mode pairs (u, v) of block k's three rotations, in application order."""
+    return (2 * k + 1, 2 * k + 3), (2 * k + 2, 2 * k + 4), (2 * k + 3, 2 * k + 4)
+
+
 def decompose_closed(m: int) -> Netlist:
     """Closed-form netlist realizing Z† for the extension of size M.
 
     Application order: W(1,2,pi/4), S(2,pi/2), then for each block
-    k = 0..M/2-2 the triplet W(2k+1,2k+3,theta_k), W(2k+2,2k+4,theta_k),
-    W(2k+3,2k+4,pi+pi/M) with theta_k = arctan sqrt((M-2-2k)/2).
+    k = 0..M/2-2 one rotation on each mode pair of _block_pairs(k), by
+    theta_k = arctan sqrt((M-2-2k)/2), theta_k and pi+pi/M in turn.
     Total element count: 2 + 3(M/2 - 1).
     """
     m = validate_outcome_count(m)
     elements: list[NetlistElement] = list(BOOTSTRAP)
+    turn = float(np.pi + np.pi / m)
     for k in range(m // 2 - 1):
         theta = triplet_angle(m, k)
-        elements.append(GivensRotation(2 * k + 1, 2 * k + 3, theta))
-        elements.append(GivensRotation(2 * k + 2, 2 * k + 4, theta))
-        elements.append(GivensRotation(2 * k + 3, 2 * k + 4, float(np.pi + np.pi / m)))
+        (u1, v1), (u2, v2), (u3, v3) = _block_pairs(k)
+        elements.append(GivensRotation(u1, v1, theta))
+        elements.append(GivensRotation(u2, v2, theta))
+        elements.append(GivensRotation(u3, v3, turn))
     return Netlist(M=m, elements=tuple(elements))
 
 
@@ -152,12 +159,12 @@ def eliminate(z) -> tuple[Netlist, float, float]:
     Accepts an ExtensionMatrix or a plain square array. If the
     top two rows carry imaginary parts, the fixed bootstrap pair
     W(1,2,pi/4) then S(2,pi/2) makes them real. Afterwards the
-    below-diagonal entries are zeroed in the block schedule
-    (2k+3,2k+1), (2k+4,2k+2), (2k+4,2k+3) for k = 0..M/2-2, each by a
-    rotation whose angle atan2(lower, diagonal) also leaves the pivot
-    positive. Entries at or below PIVOT_TOL emit nothing. The
-    emitted list, in the order applied, is the application-order netlist
-    of the adjoint.
+    below-diagonal entries are zeroed in the block schedule: for
+    k = 0..M/2-2 and each pair (u, v) of _block_pairs(k), entry (v, u)
+    against the pivot (u, u), by a rotation whose angle atan2(lower,
+    pivot) also leaves the pivot positive. Entries at or below PIVOT_TOL
+    emit nothing. The emitted list, in the order applied, is the
+    application-order netlist of the adjoint.
 
     Returns (netlist, residual, bound). The swept copy of Z holds
     F = EZ - I, the netlist's own round trip, and residual is its max-abs
@@ -200,16 +207,11 @@ def eliminate(z) -> tuple[Netlist, float, float]:
             _apply_element(a, e)
 
     for k in range(m // 2 - 1):
-        schedule = (
-            (2 * k + 1, 2 * k + 3, 2 * k + 1),
-            (2 * k + 2, 2 * k + 4, 2 * k + 2),
-            (2 * k + 3, 2 * k + 4, 2 * k + 3),
-        )
-        for u, v, col in schedule:
-            lower = a[v - 1, col - 1]
+        for u, v in _block_pairs(k):
+            lower = a[v - 1, u - 1]
             if abs(lower) <= PIVOT_TOL:
                 continue
-            omega = float(np.arctan2(lower.real, a[u - 1, col - 1].real))
+            omega = float(np.arctan2(lower.real, a[u - 1, u - 1].real))
             g = GivensRotation(u, v, omega)
             _apply_element(a, g)
             elements.append(g)
@@ -243,8 +245,17 @@ def canonical_angle(a: float) -> float:
     return float(c)
 
 
+# Each netlist JSON kind: its element type and typed fields, in argument order;
+# _ELEMENT_FIELDS is the same table keyed by element type
+_JSON_ELEMENTS = {
+    "givens": (GivensRotation, (("u", int), ("v", int), ("omega", float))),
+    "phase": (PhaseShift, (("u", int), ("phi", float))),
+}
+_ELEMENT_FIELDS = {cls: (kind, fields) for kind, (cls, fields) in _JSON_ELEMENTS.items()}
+
+
 def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
-    """Element-for-element equality with angles compared mod 2*pi.
+    """Element-for-element equality: int fields exactly, float fields (angles) mod 2*pi.
 
     A NaN angle never compares equal. ``tol`` must be finite and >= 0.
     """
@@ -255,32 +266,18 @@ def netlists_equal(a: Netlist, b: Netlist, tol: float = 1e-10) -> bool:
     for ea, eb in zip(a.elements, b.elements):
         if type(ea) is not type(eb):
             return False
-        if isinstance(ea, GivensRotation):
-            if (ea.u, ea.v) != (eb.u, eb.v):
+        for key, t in _ELEMENT_FIELDS[type(ea)][1]:
+            x, y = getattr(ea, key), getattr(eb, key)
+            if not (x == y if t is int else abs(canonical_angle(x - y)) <= tol):
                 return False
-            da = canonical_angle(ea.omega - eb.omega)
-        else:
-            if ea.u != eb.u:
-                return False
-            da = canonical_angle(ea.phi - eb.phi)
-        if not abs(da) <= tol:
-            return False
     return True
-
-
-# Each netlist JSON kind: its element type and typed fields, in argument order
-_JSON_ELEMENTS = {
-    "givens": (GivensRotation, (("u", int), ("v", int), ("omega", float))),
-    "phase": (PhaseShift, (("u", int), ("phi", float))),
-}
 
 
 def netlist_to_json_dict(n: Netlist) -> dict:
     """The interchange schema that ``compile`` writes and ``netlist_from_json_dict`` reads."""
-    kinds = {cls: (kind, fields) for kind, (cls, fields) in _JSON_ELEMENTS.items()}
     elements = []
     for e in n.elements:
-        kind, fields = kinds[type(e)]
+        kind, fields = _ELEMENT_FIELDS[type(e)]
         elements.append({"kind": kind, **{key: t(getattr(e, key)) for key, t in fields}})
     return {"M": n.M, "elements": elements}
 

@@ -40,6 +40,7 @@ from .povm import (  # noqa: F401
     _check_outcome_index,
     _outer,
     click_probabilities,
+    outcome_distribution,
     phase_povm,
     povm_element,
     psi_k,
@@ -90,8 +91,8 @@ class ExtensionMatrix:
         return self.Z[:, j]
 
 
-def _closed_form_columns(m: int, ks) -> np.ndarray:
-    """Closed-form extension columns for the outcomes ``ks``, one per column.
+def _closed_form_columns(m: int) -> np.ndarray:
+    """The closed-form extension matrix, column j for outcome column_order(m)[j].
 
     For k < M/2 the column is the pair (e^{-i pi k/M}, e^{i pi k/M})/sqrt(M),
     then cosine/sine pairs -2cos((k-j)pi/M), -2sin((k-j)pi/M) scaled by
@@ -105,7 +106,7 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
     one block of row pairs at a time, so the index and quotient tables
     stay one block's size.
     """
-    ks = np.asarray(ks)
+    ks = np.asarray(column_order(m))
     half = m // 2
     high = ks >= half
     kk = np.where(high, ks - half, ks)
@@ -139,7 +140,7 @@ def _closed_form_columns(m: int, ks) -> np.ndarray:
 def build_extension_closed(m: int) -> ExtensionMatrix:
     """Assemble the extension matrix from closed-form columns."""
     m = validate_outcome_count(m)
-    return ExtensionMatrix(Z=_closed_form_columns(m, column_order(m)))
+    return ExtensionMatrix(Z=_closed_form_columns(m))
 
 
 def build_extension_recursive(m: int) -> ExtensionMatrix:
@@ -222,21 +223,20 @@ def verify_naimark(ext: ExtensionMatrix, seed: int = 0) -> dict[str, float]:
     Orthogonality and unitarity are not measured here: no M x M product is
     formed, and compiler.eliminate's sweep certifies both. Never raises on
     a bad matrix; every violation shows up as a residual, and a NaN
-    residual fails any ``<= tol`` test. The probability check compares the
-    qubit-level statistics Tr[Pi_k rho] against the extended-space
+    residual fails any ``<= tol`` test. The probability check compares
+    povm.outcome_distribution's Tr[Pi_k rho] against the extended-space
     statistics Tr[P_k (rho_A tensor rho)] on the states random_states(seed).
     """
     norms = max_gap(squared_column_norms(ext.Z), 1.0)
-    # reference[j] is Pi_k for the outcome k that column j carries
-    reference = phase_povm(ext.M).elements[list(ext.column_order)]
+    povm, order = phase_povm(ext.M), list(ext.column_order)  # column j is outcome order[j]
     top = ext.Z[:2].T
-    max_block = max_gap(_outer(top), reference)
+    max_block = max_gap(_outer(top), povm.elements[order])
 
     rhos = random_states(seed)
     # |e1><e1| x rho is zero outside its top 2x2 block, so Tr[P_j lifted] is
     # z[:2, j]† rho z[:2, j]: the clicks of the M x 2 isometry conj(Z[:2])ᵀ, O(M) per state
     extended = click_probabilities(top.conj(), rhos)
-    direct = np.einsum("jab,sba->sj", reference, rhos).real
+    direct = outcome_distribution(povm, rhos).probabilities[:, order]
     max_prob = max_gap(direct, extended)
 
     return {"norms": norms, "povm_blocks": max_block, "probability_constraint": max_prob}

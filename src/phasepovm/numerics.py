@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -138,10 +139,10 @@ def partial_trace_ancilla(p) -> np.ndarray:
     return p[:2, :2].copy()
 
 
-def row_slices(n_rows: int, row_len: int, budget: int) -> list[slice]:
-    """Consecutive row ranges of at most ``budget`` entries (one row at least)."""
+def row_slices(n_rows: int, row_len: int, budget: int) -> Iterator[slice]:
+    """Consecutive row ranges of at most ``budget`` entries (one row at least), made lazily."""
     step = max(1, budget // row_len)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
 def _float_reprs(values: np.ndarray, previous=None):

@@ -332,10 +332,11 @@ def _folded_isometry(m: int) -> np.ndarray:
     # clicks[k] is the exiting pair of slot k+1: outcomes k (H) and k + M/2 (V)
     clicks = np.empty((len(taps), 2, 2), dtype=complex)
     cr, sr = np.cos(np.pi + np.pi / m), np.sin(np.pi + np.pi / m)
+    rotation = np.array([[cr, sr], [-sr, cr]])  # every slot's loop polarization rotation
     for k, tap in enumerate(taps):
         clicks[k] = np.sqrt(tap) * hv
         # reflected pair stays in the loop and gets rotated
-        hv = np.array([[cr, sr], [-sr, cr]]) @ (-np.sqrt(1.0 - tap) * hv)
+        hv = rotation @ (-np.sqrt(1.0 - tap) * hv)
     return clicks.transpose(1, 0, 2).reshape(m, 2)
 
 

@@ -289,6 +289,76 @@ def test_netlists_equal_tolerates_two_pi_and_flags_real_differences():
             netlists_equal(net, net, tol=bad)
 
 
+def _netlists_equal_by_kind(a, b, tol):
+    """Reference: the comparison written out per element kind."""
+    if a.M != b.M or len(a.elements) != len(b.elements):
+        return False
+    for ea, eb in zip(a.elements, b.elements):
+        if type(ea) is not type(eb):
+            return False
+        if isinstance(ea, GivensRotation):
+            if (ea.u, ea.v) != (eb.u, eb.v):
+                return False
+            da = canonical_angle(ea.omega - eb.omega)
+        else:
+            if ea.u != eb.u:
+                return False
+            da = canonical_angle(ea.phi - eb.phi)
+        if not abs(da) <= tol:
+            return False
+    return True
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), np.pi, -np.pi]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def netlist_elements(draw, angle=ANGLES):
+    u = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return GivensRotation(u, draw(st.integers(u + 1, 4)), draw(angle))
+    return PhaseShift(u, draw(angle))
+
+
+@st.composite
+def netlist_variant(draw, e):
+    """``e`` itself, its angle shifted by +-2 pi or redrawn, a new element, or the other kind."""
+    key = "omega" if isinstance(e, GivensRotation) else "phi"
+    angle = getattr(e, key)
+    change = draw(st.sampled_from(["same", "shift", "angle", "element", "kind"]))
+    if change == "shift":
+        turn = draw(st.sampled_from([2 * np.pi, -2 * np.pi]))
+        return dataclasses.replace(e, **{key: angle + turn})
+    if change == "angle":
+        return dataclasses.replace(e, **{key: draw(ANGLES)})
+    if change == "element":
+        return draw(netlist_elements(angle=st.just(angle) | ANGLES))
+    if change == "kind":
+        return PhaseShift(e.u, angle) if key == "omega" else GivensRotation(e.u, e.u + 1, angle)
+    return e
+
+
+@st.composite
+def netlist_pairs(draw):
+    a = draw(st.lists(netlist_elements(), max_size=6))
+    b = [draw(netlist_variant(e)) for e in a]
+    if draw(st.integers(0, 4)) == 0:  # mismatched lengths
+        b = b[:-1] if b and draw(st.booleans()) else b + [draw(netlist_elements())]
+    m_b = draw(st.sampled_from([4, 4, 4, 5]))  # mismatched modes now and then
+    return Netlist(M=4, elements=tuple(a)), Netlist(M=m_b, elements=tuple(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=netlist_pairs(), tol=st.sampled_from([0.0, 1e-15, 1e-10, 0.5]))
+def test_netlists_equal_agrees_with_a_per_kind_comparison(pair, tol):
+    a, b = pair
+    assert netlists_equal(a, b, tol=tol) is _netlists_equal_by_kind(a, b, tol)
+    assert netlists_equal(b, a, tol=tol) is _netlists_equal_by_kind(b, a, tol)
+
+
 def test_netlist_json_schema_round_trip():
     net = decompose_closed(8)
     d = netlist_to_json_dict(net)

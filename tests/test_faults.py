@@ -52,8 +52,8 @@ def closed_entry(change):
     """Apply ``change`` to the first closed-form entry, Z[0, 0] = 1/sqrt(M)."""
     columns = naimark._closed_form_columns
 
-    def patched(m, ks):
-        z = columns(m, ks)
+    def patched(m):
+        z = columns(m)
         z[0, 0] = change(z[0, 0])
         return z
 

@@ -25,8 +25,15 @@ from phasepovm.naimark import (
     write_extension_csv,
     write_extension_json,
 )
-from phasepovm.numerics import partial_trace_ancilla
-from phasepovm.povm import povm_element, psi_k, random_density
+from phasepovm.numerics import max_gap, partial_trace_ancilla
+from phasepovm.povm import (
+    click_probabilities,
+    outcome_distribution,
+    phase_povm,
+    povm_element,
+    psi_k,
+    random_density,
+)
 
 SEED = 20240811
 POWERS = [2, 4, 8, 16, 32, 64]
@@ -478,6 +485,18 @@ def test_probability_check_equals_the_dense_lifted_trace():
             expected = max(expected, abs(direct - extended))
     assert abs(report["probability_constraint"] - expected) <= 1e-12
     assert expected > 1e-3  # the broken Z is visible to the check
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("m", [2, 16, 256])
+def test_probability_constraint_reads_the_outcome_distribution_bit_for_bit(m, seed):
+    # Tr[Pi_k rho] has one formula, povm.outcome_distribution's, in column order
+    ext = build_extension_closed(m)
+    rhos = random_states(seed)
+    direct = outcome_distribution(phase_povm(m), rhos).probabilities[:, list(column_order(m))]
+    expected = max_gap(direct, click_probabilities(ext.Z[:2].T.conj(), rhos))
+    got = verify_naimark(ext, seed=seed)["probability_constraint"]
+    assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
 
 def test_random_states_are_the_seeded_random_densities():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_csv_writer_equals_the_repr_join(blocks):
 def test_squared_column_norms_over_three_blocks(special):
     rng = np.random.default_rng(SEED)
     a = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
-    assert len(row_slices(len(a), len(a), WORK_VALUES)) == 3
+    assert len(list(row_slices(len(a), len(a), WORK_VALUES))) == 3
     if special is not None:
         a[199, 7] = special
     with np.errstate(over="ignore"):
@@ -248,7 +249,7 @@ def last_block_unitary(change, complex_rows):
 def test_gram_residuals_over_three_blocks_equal_the_one_shot_bits(change, complex_rows):
     """norms and the sweep's identity miss, each taken a block at a time, have the whole-array bits."""
     a = last_block_unitary(change, complex_rows)
-    assert len(row_slices(len(a), len(a), WORK_VALUES)) == 3
+    assert len(list(row_slices(len(a), len(a), WORK_VALUES))) == 3
     column_sums = np.add.reduce(np.square(a.real) + np.square(a.imag), axis=0)
     got = squared_column_norms(a)
     assert np.array_equal(got.view(np.int64), column_sums.view(np.int64))
@@ -275,7 +276,7 @@ def identity_gap_inputs(draw):
 
 def last_block_square(value, n=200):
     """An n x n array near I, three working blocks of rows, with ``value`` in its last row."""
-    assert len(row_slices(n, n, WORK_VALUES)) == 3
+    assert len(list(row_slices(n, n, WORK_VALUES))) == 3
     a = np.eye(n, dtype=complex) + 1e-3 * np.sin(np.arange(n * n)).reshape(n, n)
     a[-1, 5] = value
     return a
@@ -307,9 +308,21 @@ def gap_pairs(draw):
     return pair[0], pair[1]
 
 
+def test_row_slices_are_made_one_at_a_time():
+    # sweep --M 4096 --steps 10**7: a list of all 666 667 slices traces 82 MiB
+    tracemalloc.start()
+    try:
+        first = next(iter(row_slices(10**7, 4097, BLOCK_VALUES)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == slice(0, BLOCK_VALUES // 4097)
+    assert peak < 1 << 20, peak
+
+
 def three_block_pair(value, budget=BLOCK_VALUES, n_rows=520):
     """Two n_rows x 256 arrays a gap of 0.5 apart, with ``value`` in the last of their three blocks."""
-    assert len(row_slices(n_rows, 256, budget)) == 3
+    assert len(list(row_slices(n_rows, 256, budget))) == 3
     a, b = np.zeros((n_rows, 256), dtype=complex), np.full((n_rows, 256), 0.5 + 0j)
     a[-1, 7] = value
     return a, b
